@@ -190,6 +190,9 @@ def _scan_row_full(payload):
     except (IrregularPointError, PositivityError):
         row.update(residual=None, orientation=None, action_density=None,
                    status="irregular")
+    except IntegrationError:
+        row.update(residual=None, orientation=None, action_density=None,
+                   status="integrator_failure")
     return row
 
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import monodromy as mon
 from .errors import IntegrationError, IrregularPointError, PositivityError
 from .greens import (GreensEvaluator, boundary_greens, boundary_sandwich,
                      qfq_matrix)
@@ -57,11 +56,6 @@ def chi_from_boundary(data, bg):
     """chi = (id - QFQ)^{1/2} from precomputed boundary blocks."""
     N = data.total_width
     return hermitian_sqrt(np.eye(N) - qfq_matrix(data, bg))
-
-
-def chi(data, t, tol=1e-10):
-    """Hermitian square root of id - QFQ at the point t."""
-    return chi_from_boundary(data, boundary_greens(data, t, tol=tol))
 
 
 def _sylvester_dchi(chi0, R):
@@ -115,70 +109,70 @@ def _gl_nodes(a, b, panels, order=12):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _sweep_states(ev, tag, alpha, nodes_by_interval):
-    """Companion states of the kernel sourced at marked point alpha.
+def _refine_panels(data, quantity, quad_tol, max_panels, what):
+    """Panel-doubling quadrature over the intervals of the circle.
 
-    nodes_by_interval[i] holds increasing node positions inside interval
-    i (base circle coordinates).  Returns a dict (i, j) -> state (2m, m)
-    at the j-th node of interval i, transported once around the loop from
-    lambda_alpha with the marked-point jumps composed in.
+    quantity(nodes, weights) takes per-interval Gauss-Legendre nodes and
+    weights (_gl_nodes on each interval) and returns an array.  The panels
+    per interval double from 2 until two successive results differ by less
+    than quad_tol; returns the last result with its nodes and weights.
     """
-    data = ev.data
-    n = data.n
-    state = ev.loop_solution(tag, alpha)
-    out = {}
-    for step in range(n):
-        i = (alpha + step) % n
-        a, b = data.interval_bounds(i)
-        coeff = mon._second_order_coeff(data, ev.t, i, a, b, tag)
-        pos = a
-        for j, s in enumerate(nodes_by_interval[i]):
-            state = mon.transfer(coeff, pos, s, ev.tol) @ state
-            pos = s
-            out[(i, j)] = state
-        state = mon.transfer(coeff, pos, b, ev.tol) @ state
-        state = ev.jumps(tag)[(i + 1) % n] @ state
-    return out
+    prev = None
+    panels = 2
+    while panels <= max_panels:
+        nodes, weights = zip(*(_gl_nodes(*data.interval_bounds(i), panels)
+                               for i in range(data.n)))
+        out = quantity(nodes, weights)
+        if prev is not None and np.max(np.abs(out - prev)) < quad_tol:
+            return out, nodes, weights
+        prev = out
+        panels *= 2
+    raise IntegrationError(
+        f"{what} did not reach {quad_tol:.1e} within {max_panels} panels "
+        f"per interval")
+
+
+def _node_states(ev, tag, alpha, state, nodes):
+    """States of the walk from lambda_alpha at every node, in base order.
+
+    nodes[i] holds increasing positions inside interval i; the result
+    lists the states interval by interval from interval 0.
+    """
+    n = ev.data.n
+    order = [i % n for i in range(alpha, alpha + n)]
+    stops = [(i, s) for i in order for s in nodes[i]]
+    states = ev.walk(tag, ev.data.lambdas[alpha], stops, state)
+    split = sum(len(nodes[i]) for i in range(alpha, n))
+    return states[split:] + states[:split]
 
 
 def _df_integral(ev, nu, quad_tol, max_panels=64):
     data = ev.data
     n, k = data.n, data.k
     tnu = ev.t[nu]
-    prev = None
-    panels = 2
-    while panels <= max_panels:
-        nodes_by_interval = []
-        weights_by_interval = []
-        for i in range(n):
-            a, b = data.interval_bounds(i)
-            nd, wt = _gl_nodes(a, b, panels)
-            nodes_by_interval.append(nd)
-            weights_by_interval.append(wt)
-        states = [_sweep_states(ev, "finv", alpha, nodes_by_interval)
+
+    def integral(nodes, weights):
+        states = [_node_states(ev, "finv", alpha,
+                               ev.loop_solution("finv", alpha), nodes)
                   for alpha in range(n)]
         out = np.zeros((n, n, k, k), dtype=complex)
-        for i in range(n):
-            for j, s in enumerate(nodes_by_interval[i]):
-                w = weights_by_interval[i][j]
-                Tnu = eval_T(data, nu, s) + tnu * np.eye(k)
-                vals = [states[alpha][(i, j)] for alpha in range(n)]
-                for alpha in range(n):
-                    Va = vals[alpha][:k, :]
-                    if nu == 0:
-                        rhs = 1j * vals[alpha][k:, :] + Tnu @ Va
-                    else:
-                        rhs = Tnu @ Va
-                    for beta in range(n):
-                        out[beta, alpha] += w * (vals[beta][:k, :].conj().T @ rhs)
+        flat = zip(np.concatenate(nodes), np.concatenate(weights))
+        for q, (s, w) in enumerate(flat):
+            Tnu = eval_T(data, nu, s) + tnu * np.eye(k)
+            vals = [states[alpha][q] for alpha in range(n)]
+            for alpha in range(n):
+                Va = vals[alpha][:k, :]
+                if nu == 0:
+                    rhs = 1j * vals[alpha][k:, :] + Tnu @ Va
+                else:
+                    rhs = Tnu @ Va
+                for beta in range(n):
+                    out[beta, alpha] += w * (vals[beta][:k, :].conj().T @ rhs)
         out *= -2.0
-        if prev is not None and np.max(np.abs(out - prev)) < quad_tol:
-            return out
-        prev = out
-        panels *= 2
-    raise IntegrationError(
-        f"boundary-derivative quadrature did not reach {quad_tol:.1e} "
-        f"within {max_panels} panels per interval")
+        return out
+
+    return _refine_panels(data, integral, quad_tol, max_panels,
+                          "boundary-derivative quadrature")[0]
 
 
 def _symmetrize_blocks(D):

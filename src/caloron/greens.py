@@ -20,8 +20,9 @@ lambda_alpha) and G(lambda_beta, lambda_alpha); sandwiching with the
 boundary matrices Q gives the N x N matrices entering the gauge
 potential, N = sum of the Q widths.
 
-All evaluations at a fixed (data, t) share one GreensEvaluator, which
-caches interval transfers and loop factorizations.
+All evaluations at a fixed (data, t) share one GreensEvaluator: the
+circle walk and transfer caches of monodromy.Propagator, plus the checked
+loop solves.
 """
 
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import monodromy
 from .errors import IntegrationError, IrregularPointError
-from .nahm import TWO_PI, locate, marked_index
+from .nahm import TWO_PI, marked_index
 from .spin import kron_spin
 
 _COND_LIMIT = 1e12
@@ -41,57 +42,12 @@ def _gap_from_unity(M):
     return float(np.min(np.abs(np.linalg.eigvals(M) - 1.0)))
 
 
-class GreensEvaluator:
-    """Caches interval transfers, jumps and loop inverses for one (data, t)."""
+class GreensEvaluator(monodromy.Propagator):
+    """Green's functions at one (data, t) from the cached circle walk."""
 
     def __init__(self, data, t, tol=1e-10):
-        self.data = data
-        self.t = np.asarray(t, dtype=float)
-        if self.t.shape != (4,):
-            raise ValueError("t must be a 4-vector (t0, t1, t2, t3)")
-        self.tol = tol
-        self._transfers = {}
-        self._jumps = {}
-        self._loops = {}
+        super().__init__(data, t, tol)
         self._loop_solutions = {}
-
-    # -- cached building blocks ------------------------------------------
-
-    def interval_transfers(self, tag):
-        if tag not in self._transfers:
-            if tag in ("ddag", "d"):
-                self._transfers[tag] = monodromy.interval_transfers_first_order(
-                    self.data, self.t, which=tag, tol=self.tol)
-            else:
-                self._transfers[tag] = monodromy.interval_transfers_second_order(
-                    self.data, self.t, operator_tag=tag, tol=self.tol)
-        return self._transfers[tag]
-
-    def jumps(self, tag):
-        if tag not in self._jumps:
-            self._jumps[tag] = [
-                monodromy.second_order_jump(self.data, self.t, alpha, tag)
-                for alpha in range(self.data.n)]
-        return self._jumps[tag]
-
-    def _dim(self, tag):
-        k = self.data.k
-        return {"ddag": 2 * k, "d": 2 * k, "finv": 2 * k, "ddagd": 4 * k}[tag]
-
-    def loop_matrix(self, tag, alpha=0):
-        """Full-circle transfer based at lambda_alpha, from cached pieces."""
-        key = (tag, alpha)
-        if key not in self._loops:
-            n = self.data.n
-            T = self.interval_transfers(tag)
-            J = self.jumps(tag) if tag in ("finv", "ddagd") else None
-            M = np.eye(self._dim(tag), dtype=complex)
-            for i in range(n):
-                M = T[(alpha + i) % n] @ M
-                if J is not None:
-                    M = J[(alpha + i + 1) % n] @ M
-            self._loops[key] = M
-        return self._loops[key]
 
     def _checked_inverse_apply(self, M, rhs, where):
         A = M - np.eye(M.shape[0])
@@ -107,76 +63,16 @@ class GreensEvaluator:
         """(iota - id)^{-1} pi_1: source columns of the based loop, (2m, m)."""
         key = (tag, alpha)
         if key not in self._loop_solutions:
-            M = self.loop_matrix(tag, alpha)
-            m = M.shape[0] // 2
-            P1 = np.zeros((2 * m, m), dtype=complex)
-            P1[m:, :] = np.eye(m)
-            self._loop_solutions[key] = self._checked_inverse_apply(
-                M, P1, f"{tag} loop at marked point {alpha}")
+            self._loop_solutions[key] = self._source_solve(
+                tag, self.data.lambdas[alpha], f"marked point {alpha}")
         return self._loop_solutions[key]
 
-    # -- paths ------------------------------------------------------------
-
-    def _segments_from(self, y):
-        """Generator of (a, b, interval, crossed) walking forward from y.
-
-        Yields consecutive segments whose union is [y, y + 2*pi]; crossed
-        is the marked-point index at the segment's right end (its jump is
-        applied there for second-order flows), or None at the loop end.
-        """
-        points, crossed = monodromy._loop_segments(self.data, y)
-        for (a, b), idx in zip(zip(points[:-1], points[1:]), crossed):
-            i, A, B = monodromy._interval_frame(self.data, a, b)
-            yield a, b, (i, A, B), idx
-
-    def _partial_transfer(self, tag, frame, a, b):
-        i, A, B = frame
-        if tag in ("ddag", "d"):
-            coeff = monodromy._first_order_coeff(self.data, self.t, i, A, B, tag)
-        else:
-            coeff = monodromy._second_order_coeff(self.data, self.t, i, A, B, tag)
-        return monodromy.transfer(coeff, a, b, self.tol)
-
-    def path_matrix(self, tag, y, x):
-        """Transport from y to x, x in (y, y + 2*pi] up to winding.
-
-        Second-order tags compose the jump of every marked point in
-        (y, x]; returned derivative blocks at a marked x are therefore
-        right limits.  Uses cached transfers for fully covered intervals.
-        """
-        d = (x - y) % TWO_PI
-        if d == 0.0 and x != y:
-            d = TWO_PI
-        target = d
-        T = self.interval_transfers(tag)
-        J = self.jumps(tag) if tag in ("finv", "ddagd") else None
-        M = np.eye(self._dim(tag), dtype=complex)
-        if d == 0.0:
-            return M
-        base = None
-        for a, b, frame, idx in self._segments_from(y):
-            if base is None:
-                base = a
-            sa, sb = a - base, b - base
-            if sa >= target - 1e-12:
-                break
-            if sb <= target + 1e-12:
-                # full segment
-                if sb - sa > 0:
-                    i, A, B = frame
-                    ai, bi = self.data.interval_bounds(i)
-                    if abs((b - a) - (bi - ai)) < 1e-12:
-                        M = T[i] @ M
-                    else:
-                        M = self._partial_transfer(tag, frame, a, b) @ M
-                if idx is not None and J is not None and sb <= target + 1e-12:
-                    M = J[idx] @ M
-                if abs(sb - target) <= 1e-12:
-                    break
-            else:
-                M = self._partial_transfer(tag, frame, a, base + target) @ M
-                break
-        return M
+    def _source_solve(self, tag, y, where):
+        M = self.loop(tag, y)
+        m = M.shape[0] // 2
+        P1 = np.zeros((2 * m, m), dtype=complex)
+        P1[m:, :] = np.eye(m)
+        return self._checked_inverse_apply(M, P1, f"{tag} loop at {where}")
 
     # -- kernels -----------------------------------------------------------
 
@@ -186,7 +82,7 @@ class GreensEvaluator:
         At x = y returns the one-sided (x -> y+) limit (iota_loop - id)^{-1};
         across the diagonal the kernel jumps by the identity.
         """
-        loop = self._loop_at(which, y)
+        loop = self.loop(which, y)
         base = self._checked_inverse_apply(
             loop, np.eye(2 * self.data.k, dtype=complex),
             f"{which} loop at s = {y:.6g}")
@@ -194,24 +90,6 @@ class GreensEvaluator:
         if d == 0.0:
             return base
         return self.path_matrix(which, y, y + d) @ base
-
-    def _loop_at(self, tag, s0):
-        alpha = marked_index(self.data, s0)
-        if alpha is not None:
-            return self.loop_matrix(tag, alpha)
-        M = np.eye(self._dim(tag), dtype=complex)
-        J = self.jumps(tag) if tag in ("finv", "ddagd") else None
-        T = self.interval_transfers(tag)
-        for a, b, frame, idx in self._segments_from(s0):
-            i, A, B = frame
-            ai, bi = self.data.interval_bounds(i)
-            if abs((b - a) - (bi - ai)) < 1e-12:
-                M = T[i] @ M
-            else:
-                M = self._partial_transfer(tag, frame, a, b) @ M
-            if idx is not None and J is not None:
-                M = J[idx] @ M
-        return M
 
     def greens_value(self, tag, x, y):
         """Green's function block: value part of the sourced companion flow."""
@@ -221,10 +99,7 @@ class GreensEvaluator:
             K = self.loop_solution(tag, alpha)
             y = float(self.data.lambdas[alpha])
         else:
-            loop = self._loop_at(tag, y)
-            P1 = np.zeros((2 * m, m), dtype=complex)
-            P1[m:, :] = np.eye(m)
-            K = self._checked_inverse_apply(loop, P1, f"{tag} loop at s = {y:.6g}")
+            K = self._source_solve(tag, y, f"s = {y:.6g}")
         d = (x - y) % TWO_PI
         if d == 0.0:
             return K[:m, :].copy()
@@ -234,23 +109,16 @@ class GreensEvaluator:
     # -- boundary matrices --------------------------------------------------
 
     def boundary(self, want_G=False):
-        data = self.data
-        n, k = data.n, data.k
-        F = np.empty((n, n, k, k), dtype=complex)
         diag_defect = 0.0
-        for alpha in range(n):
-            blocks, defect = self._boundary_sweep("finv", alpha)
-            diag_defect = max(diag_defect, defect)
-            for beta in range(n):
-                F[beta, alpha] = blocks[beta]
-        G = None
-        if want_G:
-            G = np.empty((n, n, 2 * k, 2 * k), dtype=complex)
-            for alpha in range(n):
-                blocks, defect = self._boundary_sweep("ddagd", alpha)
+        blocks = {"ddagd": None}
+        for tag in ("finv", "ddagd") if want_G else ("finv",):
+            columns = []
+            for alpha in range(self.data.n):
+                vals, defect = self._boundary_sweep(tag, alpha)
                 diag_defect = max(diag_defect, defect)
-                for beta in range(n):
-                    G[beta, alpha] = blocks[beta]
+                columns.append(vals)
+            blocks[tag] = np.stack(columns, axis=1)   # [beta, alpha]
+        F, G = blocks["finv"], blocks["ddagd"]
         herm = _hermiticity_defect(F)
         scale = max(1.0, float(np.max(np.abs(F))))
         if herm > 1e-8 * scale:
@@ -263,27 +131,20 @@ class GreensEvaluator:
     def _boundary_sweep(self, tag, alpha):
         """Values of the kernel sourced at lambda_alpha, at all marked points.
 
-        Walks once around the circle with the cached interval transfers,
-        recording the (continuous) value block at every marked point.  The
-        sweep's return to the base point furnishes the left limit of the
-        diagonal; it must agree with the right limit from the loop solve.
+        Walks once around the circle, recording the value block at every
+        marked point (the jump maps leave values unchanged).  The walk's
+        return to the base point furnishes the left limit of the diagonal;
+        it must agree with the right limit from the loop solve.
         """
-        data = self.data
-        n = data.n
-        m = data.k if tag == "finv" else 2 * data.k
-        T = self.interval_transfers(tag)
-        J = self.jumps(tag)
+        n, lam = self.data.n, self.data.lambdas
+        m = self.data.k if tag == "finv" else 2 * self.data.k
         K = self.loop_solution(tag, alpha)
+        stops = [(beta, lam[beta]) for beta in range(alpha + 1, n)]
+        stops += [(beta, lam[beta]) for beta in range(alpha + 1)]
         vals = [None] * n
-        state = K.copy()
-        for i in range(n):
-            idx = (alpha + i + 1) % n
-            state = T[(alpha + i) % n] @ state
-            if idx != alpha:
-                vals[idx] = state[:m, :].copy()
-            else:
-                final_val = state[:m, :]
-            state = J[idx] @ state
+        for (beta, _), state in zip(stops, self.walk(tag, lam[alpha], stops, K)):
+            vals[beta] = state[:m, :]
+        final_val = vals[alpha]
         right = K[:m, :]
         defect = float(np.max(np.abs(final_val - right)))
         if defect > _DIAG_TOL * max(1.0, float(np.max(np.abs(right)))):
@@ -332,8 +193,11 @@ def block_offsets(data):
 def boundary_sandwich(data, blocks, spin_matrix=None):
     """N x N matrix with (beta, alpha) block Q_beta^dag (S (x) blocks[b,a]) Q_alpha.
 
-    blocks has shape (n, n, k, k); spin_matrix S defaults to id2.
+    blocks has shape (n, n, k, k); spin_matrix S defaults to id2.  Blocks
+    of shape (n, n, 2k, 2k) already act on C^2 (x) C^k and are sandwiched
+    as they stand.
     """
+    lift = blocks.shape[-1] == data.k
     S = np.eye(2, dtype=complex) if spin_matrix is None else spin_matrix
     offs, N = block_offsets(data)
     out = np.zeros((N, N), dtype=complex)
@@ -341,21 +205,9 @@ def boundary_sandwich(data, blocks, spin_matrix=None):
         qb = data.Q[b]
         for a in range(data.n):
             qa = data.Q[a]
-            blk = qb.conj().T @ kron_spin(S, blocks[b, a]) @ qa
-            out[offs[b]:offs[b] + qb.shape[1], offs[a]:offs[a] + qa.shape[1]] = blk
-    return out
-
-
-def boundary_sandwich_full(data, blocks):
-    """Same with 2k x 2k blocks sandwiched directly (no spin factor)."""
-    offs, N = block_offsets(data)
-    out = np.zeros((N, N), dtype=complex)
-    for b in range(data.n):
-        qb = data.Q[b]
-        for a in range(data.n):
-            qa = data.Q[a]
-            blk = qb.conj().T @ blocks[b, a] @ qa
-            out[offs[b]:offs[b] + qb.shape[1], offs[a]:offs[a] + qa.shape[1]] = blk
+            blk = kron_spin(S, blocks[b, a]) if lift else blocks[b, a]
+            out[offs[b]:offs[b] + qb.shape[1],
+                offs[a]:offs[a] + qa.shape[1]] = qb.conj().T @ blk @ qa
     return out
 
 
@@ -369,24 +221,14 @@ def qgq_matrix(data, bg):
     if bg.G is None:
         raise ValueError("boundary data was built without G blocks "
                          "(pass want_G=True)")
-    return boundary_sandwich_full(data, bg.G)
+    return boundary_sandwich(data, bg.G)
 
 
 # -- convenience wrappers ---------------------------------------------------
 
-def fundamental_B(data, t, x, y, tol=1e-10, which="ddag"):
-    """First-order circle kernel at a single point pair."""
-    return GreensEvaluator(data, t, tol).fundamental_B(x, y, which)
-
-
 def greens_F(data, t, x, y, tol=1e-10):
     """k x k Green's function of the scalar-type second-order flow."""
     return GreensEvaluator(data, t, tol).greens_value("finv", x, y)
-
-
-def greens_G(data, t, x, y, tol=1e-10):
-    """2k x 2k Green's function of the lifted second-order flow."""
-    return GreensEvaluator(data, t, tol).greens_value("ddagd", x, y)
 
 
 def boundary_greens(data, t, tol=1e-10, want_G=False):

@@ -19,21 +19,21 @@ continuous, the derivative picks up J times the value):
 * finv  : J = i Delta T_0 + (1/2) spin_trace(Q Q^dagger)
 * ddagd : J = kron(id2, i Delta T_0) - sum_j kron(E[j], (Q Q^dagger)_j)
 
-A full loop based at s0 multiplies the interval transfers in order and
-applies the jump of every marked point crossed, i.e. those in
-(s0, s0 + 2*pi]; a base point sitting on a marked point gets its own
-jump applied once, at the end of the loop.
+Every composed transfer is one walk of a Propagator: from a base point y
+it multiplies interval transfers (and transfers of partial spans) in order
+and applies the jump of every marked point crossed, i.e. those in
+(y, x] for a walk to x; a loop based on a marked point gets its own jump
+applied once, at the end.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 from . import nahm
 from .errors import IntegrationError
-from .nahm import TWO_PI, eval_T, eval_T_deriv, locate, marked_index, q_spin_parts
-from .spin import E, kron_spin, pauli
+from .nahm import TWO_PI, locate, q_spin_parts
+from .spin import E, kron_spin
 
 # Dormand-Prince 5(4) tableau
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -119,28 +119,8 @@ def second_order_coefficient(data, t, s, operator_tag="finv", side="right"):
     lifted by kron(id2, .) for operator_tag='ddagd'.
     """
     _check_tag(operator_tag)
-    t = np.asarray(t, dtype=float)
-    idk = np.eye(data.k)
-    T = [eval_T(data, mu, s, side) for mu in range(4)]
-    A0 = T[0] + t[0] * idk
-    C = 1j * eval_T_deriv(data, 0, s, side) + A0 @ A0
-    for j in (1, 2, 3):
-        Tj = T[j] + t[j] * idk
-        C = C + Tj @ Tj
-    B = 2j * A0
-    if operator_tag == "ddagd":
-        C = kron_spin(np.eye(2), C)
-        B = kron_spin(np.eye(2), B)
-    return _companion(C, B)
-
-
-def _companion(C, B):
-    m = C.shape[0]
-    M = np.zeros((2 * m, 2 * m), dtype=complex)
-    M[:m, m:] = np.eye(m)
-    M[m:, :m] = C
-    M[m:, m:] = B
-    return M
+    i, su = locate(data, s, side)
+    return nahm.flow_coefficient(data, t, i, operator_tag)(su)
 
 
 def _check_tag(operator_tag):
@@ -170,127 +150,132 @@ def second_order_jump(data, t, alpha, operator_tag="finv"):
     return out
 
 
-def _interval_frame(data, a, b):
-    """Interval index and its bounds shifted into the frame of segment (a, b)."""
-    mid = 0.5 * (a + b)
-    i, su = locate(data, mid)
-    ai, bi = data.interval_bounds(i)
-    shift = TWO_PI * round((mid - su) / TWO_PI)
-    return i, ai + shift, bi + shift
-
-
-def _first_order_coeff(data, t, i, A, B, which):
-    """Flow matrix closure on interval i with loop-frame bounds (A, B)."""
-    cs = data.intervals[i].coeffs
-    t = np.asarray(t, dtype=float)
-    idk = np.eye(data.k)
-    sign = -1.0 if which == "ddag" else 1.0
-    if which not in ("ddag", "d"):
-        raise ValueError(f"which must be 'ddag' or 'd', got {which!r}")
-
-    def coeff(s):
-        u = min(1.0, max(-1.0, (2.0 * s - A - B) / (B - A)))
-        M = kron_spin(np.eye(2), 1j * (chebyshev.chebval(u, cs[0]) + t[0] * idk))
-        for j in (1, 2, 3):
-            M = M + sign * kron_spin(pauli(j), chebyshev.chebval(u, cs[j]) + t[j] * idk)
-        return M
-
-    return coeff
-
-
-def _second_order_coeff(data, t, i, A, B, operator_tag):
-    """Companion-matrix closure on interval i with loop-frame bounds (A, B)."""
-    cs = data.intervals[i].coeffs
-    dc0 = chebyshev.chebder(cs[0], m=1, axis=0)
-    dscale = 2.0 / (B - A)
-    t = np.asarray(t, dtype=float)
-    idk = np.eye(data.k)
-    zero = np.zeros((data.k, data.k), dtype=complex)
-    lifted = operator_tag == "ddagd"
-
-    def coeff(s):
-        u = min(1.0, max(-1.0, (2.0 * s - A - B) / (B - A)))
-        A0 = chebyshev.chebval(u, cs[0]) + t[0] * idk
-        dT0 = chebyshev.chebval(u, dc0) * dscale if dc0.shape[0] else zero
-        C = 1j * dT0 + A0 @ A0
-        for j in (1, 2, 3):
-            Tj = chebyshev.chebval(u, cs[j]) + t[j] * idk
-            C = C + Tj @ Tj
-        B2 = 2j * A0
-        if lifted:
-            C = kron_spin(np.eye(2), C)
-            B2 = kron_spin(np.eye(2), B2)
-        return _companion(C, B2)
-
-    return coeff
-
-
 def interval_transfers_first_order(data, t, which="ddag", tol=1e-10):
     """Transfer matrices over each closed interval [lambda_i, lambda_{i+1}]."""
-    out = []
-    for i in range(data.n):
-        a, b = data.interval_bounds(i)
-        out.append(transfer(_first_order_coeff(data, t, i, a, b, which), a, b, tol))
-    return out
+    if which not in ("ddag", "d"):
+        raise ValueError(f"which must be 'ddag' or 'd', got {which!r}")
+    return [transfer(nahm.flow_coefficient(data, t, i, which),
+                     *data.interval_bounds(i), tol) for i in range(data.n)]
 
 
 def interval_transfers_second_order(data, t, operator_tag="finv", tol=1e-10):
     """Companion-system transfers over each closed interval."""
     _check_tag(operator_tag)
-    out = []
-    for i in range(data.n):
-        a, b = data.interval_bounds(i)
-        out.append(transfer(_second_order_coeff(data, t, i, a, b, operator_tag),
-                            a, b, tol))
-    return out
+    return [transfer(nahm.flow_coefficient(data, t, i, operator_tag),
+                     *data.interval_bounds(i), tol) for i in range(data.n)]
 
 
-def _loop_segments(data, s0):
-    """Segments and crossed marked points of the loop s0 -> s0 + 2*pi.
+class Propagator:
+    """The kernel flows at one (data, t): cached transfers and the circle walk.
 
-    Returns (points, crossed): points is the increasing sequence
-    s0 = p_0 < ... < p_m = s0 + 2*pi, and crossed[i] is the marked-point
-    index jumped at p_{i+1} (None for the final partial segment).
+    Caches per flow tag ('ddag', 'd', 'finv', 'ddagd') the interval
+    transfers and the jump maps, and per (tag, interval, s0, s1) the
+    transfer of every partial span, kept in the interval's own coordinate,
+    so that walks from different base points share the spans they have in
+    common.
     """
-    alpha0 = marked_index(data, s0)
-    if alpha0 is not None:
-        base = float(data.lambdas[alpha0])
-        points = [base]
-        crossed = []
-        for i in range(data.n):
-            idx = (alpha0 + 1 + i) % data.n
-            lam = float(data.lambdas[idx])
-            while lam <= points[-1]:
-                lam += TWO_PI
-            points.append(lam)
-            crossed.append(idx)
-        return points, crossed
-    i0, su = locate(data, s0)
-    points = [su]
-    crossed = []
-    for i in range(data.n):
-        idx = (i0 + 1 + i) % data.n
-        lam = float(data.lambdas[idx])
-        while lam <= points[-1]:
-            lam += TWO_PI
-        points.append(lam)
-        crossed.append(idx)
-    points.append(su + TWO_PI)
-    crossed.append(None)
-    return points, crossed
+
+    def __init__(self, data, t, tol=1e-10):
+        self.data = data
+        self.t = np.asarray(t, dtype=float)
+        self.tol = tol
+        self._transfers = {}
+        self._jumps = {}
+        self._spans = {}
+
+    def interval_transfers(self, tag):
+        """Transfers of flow `tag` over each closed interval."""
+        if tag not in self._transfers:
+            if tag in ("ddag", "d"):
+                self._transfers[tag] = interval_transfers_first_order(
+                    self.data, self.t, which=tag, tol=self.tol)
+            else:
+                self._transfers[tag] = interval_transfers_second_order(
+                    self.data, self.t, operator_tag=tag, tol=self.tol)
+        return self._transfers[tag]
+
+    def jumps(self, tag):
+        """Marked-point jump maps of a second-order flow (None for first order)."""
+        if tag in ("ddag", "d"):
+            return None
+        if tag not in self._jumps:
+            self._jumps[tag] = [second_order_jump(self.data, self.t, alpha, tag)
+                                for alpha in range(self.data.n)]
+        return self._jumps[tag]
+
+    def _span(self, tag, i, s0, s1):
+        key = (tag, i, s0, s1)
+        if key not in self._spans:
+            self._spans[key] = transfer(
+                nahm.flow_coefficient(self.data, self.t, i, tag), s0, s1, self.tol)
+        return self._spans[key]
+
+    def walk(self, tag, y, stops, state=None):
+        """States carried forward from y to each of the stops, in order.
+
+        stops are (interval, coordinate) locations as nahm.locate returns
+        them, in walk order within (y, y + 2*pi]; a stop at y itself stands
+        for y + 2*pi.  state is the state at y (identity by default).
+        Second-order flows apply the jump of every marked point in
+        (y, stop].
+        """
+        data, n = self.data, self.data.n
+        T = self.interval_transfers(tag)
+        J = self.jumps(tag)
+        if state is None:
+            state = np.eye(len(T[0]), dtype=complex)
+        i0, start = locate(data, y)
+        done, pos = 0, start   # intervals finished, coordinate in the current one
+        out = []
+        for i, s in stops:
+            passes = (i - i0) % n
+            if passes == 0 and s <= start:
+                passes = n
+            while done < passes:
+                j = (i0 + done) % n
+                a, b = data.interval_bounds(j)
+                state = (T[j] if pos == a else self._span(tag, j, pos, b)) @ state
+                if J is not None:
+                    state = J[(j + 1) % n] @ state
+                done += 1
+                pos = data.lambdas[(i0 + done) % n]
+            if s != pos:
+                state = self._span(tag, i, pos, s) @ state
+                pos = s
+            out.append(state)
+        return out
+
+    def loop(self, tag, y):
+        """Full-circle transfer based at y.
+
+        A base point on a marked point gets its own jump once, at the end.
+        """
+        return self.walk(tag, y, [locate(self.data, y)])[0]
+
+    def loop_matrix(self, tag, alpha):
+        """Full-circle transfer based at lambda_alpha."""
+        return self.loop(tag, self.data.lambdas[alpha])
+
+    def path_matrix(self, tag, y, x):
+        """Transport from y to x, x in (y, y + 2*pi] up to winding.
+
+        Second-order tags compose the jump of every marked point in
+        (y, x]; returned derivative blocks at a marked x are therefore
+        right limits.  An x within the marked-point tolerance of y (modulo
+        2*pi) is y itself: the path is the identity, or the loop if x lies
+        just below y + 2*pi.
+        """
+        d = (x - y) % TWO_PI
+        if x == y or 0.0 < d < nahm._MARKED_ATOL:
+            return np.eye(len(self.interval_transfers(tag)[0]), dtype=complex)
+        if d == 0.0 or d > TWO_PI - nahm._MARKED_ATOL:
+            return self.loop(tag, y)
+        return self.walk(tag, y, [locate(self.data, y + d)])[0]
 
 
 def circle_monodromy_first_order(data, t, s0=None, which="ddag", tol=1e-10):
     """Monodromy of the first-order flow around the full circle from s0."""
-    if s0 is None:
-        s0 = float(data.lambdas[0])
-    points, _ = _loop_segments(data, s0)
-    M = np.eye(2 * data.k, dtype=complex)
-    for a, b in zip(points[:-1], points[1:]):
-        i, A, B = _interval_frame(data, a, b)
-        M = transfer(_first_order_coeff(data, t, i, A, B, which), a, b, tol) @ M
-    return Monodromy(matrix=M, base_point=float(s0), operator_tag=which,
-                     t=tuple(float(x) for x in np.asarray(t, dtype=float)))
+    return _circle_monodromy(data, t, s0, which, tol)
 
 
 def circle_monodromy_second_order(data, t, s0=None, operator_tag="finv",
@@ -298,19 +283,15 @@ def circle_monodromy_second_order(data, t, s0=None, operator_tag="finv",
     """Companion-system monodromy around the full circle from s0, with the
     marked-point jump maps composed in."""
     _check_tag(operator_tag)
+    return _circle_monodromy(data, t, s0, operator_tag, tol)
+
+
+def _circle_monodromy(data, t, s0, tag, tol):
     if s0 is None:
         s0 = float(data.lambdas[0])
-    points, crossed = _loop_segments(data, s0)
-    m = data.k if operator_tag == "finv" else 2 * data.k
-    M = np.eye(2 * m, dtype=complex)
-    for (a, b), idx in zip(zip(points[:-1], points[1:]), crossed):
-        i, A, B = _interval_frame(data, a, b)
-        M = transfer(_second_order_coeff(data, t, i, A, B, operator_tag),
-                     a, b, tol) @ M
-        if idx is not None:
-            M = second_order_jump(data, t, idx, operator_tag) @ M
-    return Monodromy(matrix=M, base_point=float(s0), operator_tag=operator_tag,
-                     t=tuple(float(x) for x in np.asarray(t, dtype=float)))
+    prop = Propagator(data, t, tol)
+    return Monodromy(matrix=prop.loop(tag, s0), base_point=float(s0),
+                     operator_tag=tag, t=tuple(float(x) for x in prop.t))
 
 
 @dataclass(frozen=True)

@@ -339,13 +339,60 @@ def weyl_coefficient(data, t, s, side="right", which="ddag"):
     """
     if which not in ("ddag", "d"):
         raise ValueError(f"which must be 'ddag' or 'd', got {which!r}")
+    i, su = locate(data, s, side)
+    return flow_coefficient(data, t, i, which)(su)
+
+
+def flow_coefficient(data, t, i, tag):
+    """Coefficient s -> M(s) of the kernel flow `tag` on interval i.
+
+    s is in the interval's own coordinate, [a_i, b_i] of interval_bounds.
+    The first-order tags 'ddag' and 'd' give the Weyl matrix of
+    weyl_coefficient; the second-order tags give the companion matrix
+    [[0, id], [C, B]] with C = i T_0' + (T_0+t_0)^2 + sum_j (T_j+t_j)^2 and
+    B = 2i (T_0+t_0), lifted by kron(id2, .) for 'ddagd'.
+    """
     t = np.asarray(t, dtype=float)
     if t.shape != (4,):
         raise ValueError("t must be a 4-vector (t0, t1, t2, t3)")
+    cs = data.intervals[i].coeffs
+    a, b = data.interval_bounds(i)
     idk = np.eye(data.k)
-    T = [eval_T(data, mu, s, side) for mu in range(4)]
-    M = kron_spin(np.eye(2), 1j * (T[0] + t[0] * idk))
-    sign = -1.0 if which == "ddag" else 1.0
-    for j in (1, 2, 3):
-        M += sign * kron_spin(pauli(j), T[j] + t[j] * idk)
-    return M
+
+    if tag in ("ddag", "d"):
+        sign = -1.0 if tag == "ddag" else 1.0
+
+        def coeff(s):
+            u = min(1.0, max(-1.0, (2.0 * s - a - b) / (b - a)))
+            T0 = chebyshev.chebval(u, cs[0]) + t[0] * idk
+            M = kron_spin(np.eye(2), 1j * T0)
+            for j in (1, 2, 3):
+                Tj = chebyshev.chebval(u, cs[j]) + t[j] * idk
+                M = M + sign * kron_spin(pauli(j), Tj)
+            return M
+
+        return coeff
+
+    dc0 = chebyshev.chebder(cs[0], m=1, axis=0)
+    dscale = 2.0 / (b - a)
+    lifted = tag == "ddagd"
+
+    def coeff(s):
+        u = min(1.0, max(-1.0, (2.0 * s - a - b) / (b - a)))
+        A0 = chebyshev.chebval(u, cs[0]) + t[0] * idk
+        C = 1j * (chebyshev.chebval(u, dc0) * dscale) + A0 @ A0
+        for j in (1, 2, 3):
+            Tj = chebyshev.chebval(u, cs[j]) + t[j] * idk
+            C = C + Tj @ Tj
+        B2 = 2j * A0
+        if lifted:
+            C = kron_spin(np.eye(2), C)
+            B2 = kron_spin(np.eye(2), B2)
+        m = C.shape[0]
+        M = np.zeros((2 * m, 2 * m), dtype=complex)
+        M[:m, m:] = np.eye(m)
+        M[m:, :m] = C
+        M[m:, m:] = B2
+        return M
+
+    return coeff

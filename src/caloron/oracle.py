@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import connection, greens, monodromy, nahm
-from .errors import ConfigError, IntegrationError
+from .errors import ConfigError
 from .nahm import TWO_PI, eval_T
 from .spin import E, kron_spin
 
@@ -354,40 +354,26 @@ def _zero_mode_bases(ev, chi_mat):
     return bases
 
 
-def _psi_on_nodes(ev, bases, nodes_by_interval):
-    """psi evaluated on all interval nodes; dict (i, j) -> (2k, N)."""
-    data = ev.data
-    n = data.n
-    vals = {}
-    for alpha in range(n):
-        state = bases[alpha]
-        for step in range(n):
-            i = (alpha + step) % n
-            a, b = data.interval_bounds(i)
-            coeff = monodromy._first_order_coeff(data, ev.t, i, a, b, "ddag")
-            pos = a
-            for j, s in enumerate(nodes_by_interval[i]):
-                state = monodromy.transfer(coeff, pos, s, ev.tol) @ state
-                pos = s
-                key = (i, j)
-                if key in vals:
-                    vals[key] += state
-                else:
-                    vals[key] = state.copy()
-            state = monodromy.transfer(coeff, pos, b, ev.tol) @ state
-    for key in vals:
-        vals[key] *= -1j
-    return vals
+def _psi_at_nodes(ev, bases, nodes):
+    """psi on the nodes of every interval, in base order; list of (2k, N)."""
+    walks = [connection._node_states(ev, "ddag", alpha, U, nodes)
+             for alpha, U in enumerate(bases)]
+    return [-1j * sum(states) for states in zip(*walks)]
 
 
-def _interval_nodes(data, panels, order=12):
-    nodes, weights = [], []
-    for i in range(data.n):
-        a, b = data.interval_bounds(i)
-        nd, wt = connection._gl_nodes(a, b, panels, order)
-        nodes.append(nd)
-        weights.append(wt)
-    return nodes, weights
+def _inner(weights, left, right):
+    """Quadrature sum of w_q left_q^dag right_q over the flattened nodes."""
+    return sum(w * (a.conj().T @ b)
+               for w, a, b in zip(np.concatenate(weights), left, right))
+
+
+def _gram(ev, bases, quad_tol, max_panels):
+    """Gram integral of psi, refined by panel doubling; (gram, nodes, weights)."""
+    def gram(nodes, weights):
+        vals = _psi_at_nodes(ev, bases, nodes)
+        return _inner(weights, vals, vals)
+    return connection._refine_panels(ev.data, gram, quad_tol, max_panels,
+                                     "Gram quadrature")
 
 
 def zero_modes(data, t, quad_tol=1e-8, tol=1e-10, max_panels=64):
@@ -401,25 +387,7 @@ def zero_modes(data, t, quad_tol=1e-8, tol=1e-10, max_panels=64):
     chi_mat = connection.chi_from_boundary(data, ev.boundary())
     bases = _zero_mode_bases(ev, chi_mat)
     N = chi_mat.shape[0]
-    prev = None
-    panels = 2
-    gram = None
-    while panels <= max_panels:
-        nodes_by_interval, weights_by_interval = _interval_nodes(data, panels)
-        vals = _psi_on_nodes(ev, bases, nodes_by_interval)
-        gram = np.zeros((N, N), dtype=complex)
-        for i in range(data.n):
-            for j, w in enumerate(weights_by_interval[i]):
-                p = vals[(i, j)]
-                gram += w * (p.conj().T @ p)
-        if prev is not None and np.max(np.abs(gram - prev)) < quad_tol:
-            break
-        prev = gram
-        panels *= 2
-    else:
-        raise IntegrationError(
-            f"Gram quadrature did not reach {quad_tol:.1e} within "
-            f"{max_panels} panels per interval")
+    gram = _gram(ev, bases, quad_tol, max_panels)[0]
     defect = float(np.max(np.abs(gram + chi_mat @ chi_mat - np.eye(N))))
     return ZeroModeSet(t=tuple(float(x) for x in np.asarray(t, float)),
                        chi=chi_mat, gram=gram, gram_defect=defect,
@@ -447,37 +415,17 @@ def classical_gauge_potential(data, t, h=1e-4, quad_tol=1e-8, tol=1e-10,
     N = chi0.shape[0]
 
     # fix the panel structure with the center-point Gram integral
-    panels = 2
-    prev = None
-    while panels <= max_panels:
-        nodes_by_interval, weights_by_interval = _interval_nodes(data, panels)
-        vals0 = _psi_on_nodes(ev0, bases0, nodes_by_interval)
-        gram = np.zeros((N, N), dtype=complex)
-        for i in range(data.n):
-            for j, w in enumerate(weights_by_interval[i]):
-                p = vals0[(i, j)]
-                gram += w * (p.conj().T @ p)
-        if prev is not None and np.max(np.abs(gram - prev)) < quad_tol:
-            break
-        prev = gram
-        panels *= 2
-    else:
-        raise IntegrationError(
-            f"Gram quadrature did not reach {quad_tol:.1e} within "
-            f"{max_panels} panels per interval")
+    _, nodes, weights = _gram(ev0, bases0, quad_tol, max_panels)
+    vals0 = _psi_at_nodes(ev0, bases0, nodes)
 
     A = np.zeros((4, N, N), dtype=complex)
     for mu in range(4):
         evp, chip, basesp = frame(t + h * connection._UNIT[mu])
         evm, chim, basesm = frame(t - h * connection._UNIT[mu])
-        valsp = _psi_on_nodes(evp, basesp, nodes_by_interval)
-        valsm = _psi_on_nodes(evm, basesm, nodes_by_interval)
-        acc = np.zeros((N, N), dtype=complex)
-        for i in range(data.n):
-            for j, w in enumerate(weights_by_interval[i]):
-                dpsi = (valsp[(i, j)] - valsm[(i, j)]) / (2.0 * h)
-                acc += w * (vals0[(i, j)].conj().T @ dpsi)
-        A[mu] = acc + chi0 @ ((chip - chim) / (2.0 * h))
+        valsp = _psi_at_nodes(evp, basesp, nodes)
+        valsm = _psi_at_nodes(evm, basesm, nodes)
+        dpsi = [(p - m) / (2.0 * h) for p, m in zip(valsp, valsm)]
+        A[mu] = _inner(weights, vals0, dpsi) + chi0 @ ((chip - chim) / (2.0 * h))
     return connection.GaugePotential(
         t=tuple(float(x) for x in t), A=A, chi=chi0,
         chi_min_eigenvalue=float(np.linalg.eigvalsh(chi0 @ chi0).min()),

@@ -156,6 +156,22 @@ def test_scan_flags_irregular_rows(free_config_path, capsys):
     assert rows[1]["residual"] == 0.0  # free field has zero curvature
 
 
+def test_scan_keeps_rows_after_integrator_failure(ref_config, capsys,
+                                                  monkeypatch):
+    monkeypatch.setattr(monodromy, "_MAX_STEPS", 2)
+    rc, out = run(capsys, "selfdual-scan", "--config", ref_config,
+                  "--grid", "t0=0.25,t1=0.15,t2=-0.2:0.2:2,t3=0.3",
+                  "--jobs", "1")
+    assert rc == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 2
+    for row in rows:
+        assert row["status"] == "integrator_failure"
+        assert row["residual"] is None
+        assert row["orientation"] is None
+        assert row["action_density"] is None
+
+
 def test_scan_csv_json_agree(ref_config, tmp_path, capsys):
     grid = "t0=0.25,t1=0.15,t2=-0.2,t3=0.3"
     rc, out_json = run(capsys, "selfdual-scan", "--config", ref_config,

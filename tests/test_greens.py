@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from caloron import greens, nahm, oracle
+from caloron import greens, monodromy, nahm, oracle
 from caloron.errors import IrregularPointError
 
 TWO_PI = 2.0 * np.pi
@@ -129,6 +129,20 @@ def test_path_matrix_composition(reference):
         assert np.max(np.abs(whole - parts)) < 1e-9
 
 
+def test_path_matrix_near_the_base_point(reference):
+    # x within 1e-12 of y is y itself: identity just above y, the loop
+    # just below y + 2*pi, on and off a marked point
+    t = np.array([0.25, 0.15, -0.2, 0.3])
+    ev = greens.GreensEvaluator(reference, t)
+    for y in (float(reference.lambdas[0]), 2.0):
+        for tag in ("ddag", "finv"):
+            loop = ev.path_matrix(tag, y + 0.5, y) @ ev.path_matrix(tag, y, y + 0.5)
+            ident = np.eye(len(loop))
+            assert np.max(np.abs(ev.path_matrix(tag, y, y + 1e-13) - ident)) < 1e-12
+            assert np.max(np.abs(ev.path_matrix(tag, y, y + TWO_PI - 1e-13)
+                                 - loop)) < 1e-9
+
+
 def test_lemma_identities_random():
     rng = np.random.default_rng(21)
     for _ in range(3):
@@ -169,3 +183,64 @@ def test_greens_value_periodic_arguments(reference):
     c = ev.greens_value("finv", 1.2, 3.4 - TWO_PI)
     assert np.max(np.abs(a - b)) < 1e-9
     assert np.max(np.abs(a - c)) < 1e-9
+
+
+
+# ---------------------------------------------------- walker cross-checks
+
+def _pointwise_flow(data, t, tag, side):
+    """s -> flow matrix of `tag`, one-sided at marked points."""
+    if tag in ("ddag", "d"):
+        return lambda s: nahm.weyl_coefficient(data, t, s, side, which=tag)
+    return lambda s: monodromy.second_order_coefficient(data, t, s, tag, side)
+
+
+def test_walkers_agree_on_random_data():
+    # full loops from one base point by three routes (the path from y to
+    # y + 2*pi, the circle monodromy and, on a marked point, the cached
+    # loop), and a path across a marked point against its pieces
+    rng = np.random.default_rng(13)
+    tol = 1e-12
+    for _ in range(2):  # (k, n) = (2, 3), then (2, 1)
+        data = oracle.random_valid_data(rng, k=int(rng.integers(1, 3)),
+                                        n=int(rng.integers(1, 4)),
+                                        magnitude=0.3)
+        t = np.concatenate([[rng.uniform(0.05, 0.95)],
+                            rng.uniform(-0.4, 0.4, size=3)])
+        ev = greens.GreensEvaluator(data, t, tol=tol)
+        lam = [float(x) for x in data.lambdas]
+        gaps = [b - a for a, b in map(data.interval_bounds, range(data.n))]
+        # path_matrix reads x = y + 2*pi modulo 2*pi: take an off-marked
+        # base point where that sum rounds back to a whole period
+        off = next(y for y in ((lam[i] + f * gaps[i]) % TWO_PI
+                               for f in (0.35, 0.5, 0.65, 0.2, 0.8)
+                               for i in range(data.n))
+                   if ((y + TWO_PI) - y) % TWO_PI == 0.0)
+        for tag in ("ddag", "d", "finv", "ddagd"):
+            for y in lam + [off]:
+                path = ev.path_matrix(tag, y, y + TWO_PI)
+                if tag in ("ddag", "d"):
+                    circle = monodromy.circle_monodromy_first_order(
+                        data, t, s0=y, which=tag, tol=tol).matrix
+                else:
+                    circle = monodromy.circle_monodromy_second_order(
+                        data, t, s0=y, operator_tag=tag, tol=tol).matrix
+                assert np.max(np.abs(path - circle)) < 1e-9, (tag, y)
+                alpha = nahm.marked_index(data, y)
+                if alpha is not None:
+                    loop = ev.loop_matrix(tag, alpha)
+                    assert np.max(np.abs(loop - circle)) < 1e-9, (tag, y)
+            for beta in range(data.n):
+                y = lam[beta] - 0.4 * gaps[beta - 1]
+                x = lam[beta] + 0.4 * gaps[beta]
+                before = monodromy.transfer(_pointwise_flow(data, t, tag, "left"),
+                                            y, lam[beta], tol)
+                after = monodromy.transfer(_pointwise_flow(data, t, tag, "right"),
+                                           lam[beta], x, tol)
+                jump = (np.eye(len(before)) if tag in ("ddag", "d")
+                        else monodromy.second_order_jump(data, t, beta, tag))
+                whole = ev.path_matrix(tag, y, x)
+                assert np.max(np.abs(whole - after @ jump @ before)) < 1e-9
+                pieces = (ev.path_matrix(tag, lam[beta], x)
+                          @ ev.path_matrix(tag, y, lam[beta]))
+                assert np.max(np.abs(whole - pieces)) < 1e-9

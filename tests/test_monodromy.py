@@ -149,6 +149,18 @@ def test_regularity_report(reference, free_data):
     assert rep0.gap_ddag < 1e-8
 
 
+def test_three_vector_t_is_rejected(reference):
+    t = np.array([0.25, 0.15, -0.2])
+    with pytest.raises(ValueError, match="4-vector"):
+        mon.regularity(reference, t)
+    with pytest.raises(ValueError, match="4-vector"):
+        mon.circle_monodromy_first_order(reference, t)
+    with pytest.raises(ValueError, match="4-vector"):
+        mon.circle_monodromy_second_order(reference, t)
+    with pytest.raises(ValueError, match="4-vector"):
+        mon.second_order_coefficient(reference, t, 2.0)
+
+
 # ------------------------------------------------------- mollifier tests
 
 def _logistic(u):
