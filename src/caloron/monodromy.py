@@ -19,6 +19,8 @@ continuous, the derivative picks up J times the value):
 * finv  : J = i Delta T_0 + (1/2) spin_trace(Q Q^dagger)
 * ddagd : J = kron(id2, i Delta T_0) - sum_j kron(E[j], (Q Q^dagger)_j)
 
+An interval transfer is the exact exponential of the constant coefficient
+on a degree-0 interval and an adaptive DP45 integration on the others.
 Every composed transfer is one walk of a Propagator: from a base point y
 it multiplies interval transfers (and transfers of partial spans) in order
 and applies the jump of every marked point crossed, i.e. those in
@@ -55,12 +57,61 @@ _MIN_STEP_FACTOR = 1e-14
 _MAX_STEPS = 1_000_000
 
 
-def transfer(coeff, s0, s1, tol=1e-10):
+# [13/13] Pade numerator coefficients, and the largest 1-norm for which the
+# approximant's backward error stays below the unit roundoff (Higham,
+# SIMAX 26 (2005) 1179).  Normalised to b_0 = 1, so that a nilpotent A meets
+# exact unit pivots in the solve: [[0, s], [0, 0]] gives exactly
+# [[1, s], [0, 1]].
+_PADE13 = tuple(b / 64764752532480000 for b in (
+    64764752532480000, 32382376266240000, 7771770303897600,
+    1187353796428800, 129060195264000, 10559470521600, 670442572800,
+    33522128640, 1323241920, 40840800, 960960, 16380, 182, 1))
+_THETA13 = 5.371920351148152
+
+
+def expm(A):
+    """Matrix exponential: [13/13] Pade approximant with scaling and squaring.
+
+    A is scaled by 2**-s so that its 1-norm is at most _THETA13, and the
+    approximant of the scaled matrix is squared s times.
+    """
+    A = np.asarray(A, dtype=complex)
+    norm = np.abs(A).sum(axis=0).max()
+    s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
+    A = A / 2.0 ** s
+    b = _PADE13
+    ident = np.eye(A.shape[0], dtype=complex)
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (b[1] * ident + b[3] * A2 + b[5] * A4 + b[7] * A6
+             + A6 @ (b[9] * A2 + b[11] * A4 + b[13] * A6))
+    V = (b[0] * ident + b[2] * A2 + b[4] * A4 + b[6] * A6
+         + A6 @ (b[8] * A2 + b[10] * A4 + b[12] * A6))
+    R = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        R = R @ R
+    return R
+
+
+def transfer(coeff, s0, s1, tol=1e-10, constant=False):
     """Transfer matrix of Y' = coeff(s) Y from s0 to s1 (Y(s0) = id).
 
-    coeff maps s to a square complex matrix.  Adaptive Dormand-Prince 5(4)
-    with mixed absolute/relative per-step error control at tol.
+    coeff maps s to a square complex matrix.  With constant=True coeff is
+    taken to be constant on [s0, s1]: it is evaluated once, at s0, and the
+    transfer is the exact exponential expm(coeff(s0) * (s1 - s0)).
+    Otherwise adaptive Dormand-Prince 5(4) with mixed absolute/relative
+    per-step error control at tol.
     """
+    if constant:
+        with np.errstate(over="ignore", invalid="ignore"):
+            M = np.asarray(coeff(s0), dtype=complex) * (s1 - s0)
+            Y = expm(M) if np.isfinite(np.abs(M).sum()) else None
+        if Y is None or not np.all(np.isfinite(Y)):
+            raise IntegrationError(
+                f"non-finite exponential of the coefficient at s = {s0:.6g}",
+                location=s0)
+        return Y
     span = s1 - s0
     C0 = np.asarray(coeff(s0), dtype=complex)
     m = C0.shape[0]
@@ -150,19 +201,30 @@ def second_order_jump(data, t, alpha, operator_tag="finv"):
     return out
 
 
+def _interval_transfer(data, t, i, tag, s0, s1, tol):
+    """Transfer of flow `tag` over [s0, s1] in interval i's own coordinate.
+
+    A degree-0 interval has a constant coefficient, whose transfer is the
+    exact exponential; the others are integrated by DP45 at tol.
+    """
+    return transfer(nahm.flow_coefficient(data, t, i, tag), s0, s1, tol,
+                    constant=data.intervals[i].degree == 0)
+
+
 def interval_transfers_first_order(data, t, which="ddag", tol=1e-10):
     """Transfer matrices over each closed interval [lambda_i, lambda_{i+1}]."""
     if which not in ("ddag", "d"):
         raise ValueError(f"which must be 'ddag' or 'd', got {which!r}")
-    return [transfer(nahm.flow_coefficient(data, t, i, which),
-                     *data.interval_bounds(i), tol) for i in range(data.n)]
+    return [_interval_transfer(data, t, i, which, *data.interval_bounds(i), tol)
+            for i in range(data.n)]
 
 
 def interval_transfers_second_order(data, t, operator_tag="finv", tol=1e-10):
     """Companion-system transfers over each closed interval."""
     _check_tag(operator_tag)
-    return [transfer(nahm.flow_coefficient(data, t, i, operator_tag),
-                     *data.interval_bounds(i), tol) for i in range(data.n)]
+    return [_interval_transfer(data, t, i, operator_tag,
+                               *data.interval_bounds(i), tol)
+            for i in range(data.n)]
 
 
 class Propagator:
@@ -172,7 +234,7 @@ class Propagator:
     transfers and the jump maps, and per (tag, interval, s0, s1) the
     transfer of every partial span, kept in the interval's own coordinate,
     so that walks from different base points share the spans they have in
-    common.
+    common.  tol is the DP45 tolerance of the degree>0 intervals.
     """
 
     def __init__(self, data, t, tol=1e-10):
@@ -206,8 +268,8 @@ class Propagator:
     def _span(self, tag, i, s0, s1):
         key = (tag, i, s0, s1)
         if key not in self._spans:
-            self._spans[key] = transfer(
-                nahm.flow_coefficient(self.data, self.t, i, tag), s0, s1, self.tol)
+            self._spans[key] = _interval_transfer(
+                self.data, self.t, i, tag, s0, s1, self.tol)
         return self._spans[key]
 
     def walk(self, tag, y, stops, state=None):
@@ -261,16 +323,16 @@ class Propagator:
 
         Second-order tags compose the jump of every marked point in
         (y, x]; returned derivative blocks at a marked x are therefore
-        right limits.  An x within the marked-point tolerance of y (modulo
-        2*pi) is y itself: the path is the identity, or the loop if x lies
-        just below y + 2*pi.
+        right limits.  The unreduced difference x - y decides the two ends:
+        within the marked-point tolerance of 0 the path is the identity,
+        within it of a nonzero multiple of 2*pi it is the loop.
         """
-        d = (x - y) % TWO_PI
-        if x == y or 0.0 < d < nahm._MARKED_ATOL:
-            return np.eye(len(self.interval_transfers(tag)[0]), dtype=complex)
-        if d == 0.0 or d > TWO_PI - nahm._MARKED_ATOL:
+        turns = round((x - y) / TWO_PI)
+        if abs(x - y - turns * TWO_PI) < nahm._MARKED_ATOL:
+            if turns == 0:
+                return np.eye(len(self.interval_transfers(tag)[0]), dtype=complex)
             return self.loop(tag, y)
-        return self.walk(tag, y, [locate(self.data, y + d)])[0]
+        return self.walk(tag, y, [locate(self.data, y + (x - y) % TWO_PI)])[0]
 
 
 def circle_monodromy_first_order(data, t, s0=None, which="ddag", tol=1e-10):

@@ -66,8 +66,14 @@ for _row in BRACKET:
 
 
 def kron_spin(s, m):
-    """Kronecker product with the 2x2 spin factor s outermost."""
-    return np.kron(s, m)
+    """Kronecker product with the 2x2 spin factor s outermost.
+
+    Equal to np.kron(s, m) element for element (each entry is the one
+    product s[i, j] * m[a, b]), as a broadcast product without its overhead.
+    """
+    s, m = np.asarray(s), np.asarray(m)
+    return (s[:, None, :, None] * m[None, :, None, :]).reshape(
+        s.shape[0] * m.shape[0], s.shape[1] * m.shape[1])
 
 
 def spin_trace(M):

@@ -18,6 +18,21 @@ def ref_config(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def ref_config_degree1(tmp_path_factory):
+    """The reference data as degree-1 intervals with zero p=1 coefficients:
+    the same field, but its transfers take the DP45 path."""
+    cfg = nahm.to_dict(oracle.su2_reference_data())
+    k = cfg["k"]
+    for interval in cfg["intervals"]:
+        interval["degree"] = 1
+        for coeffs in interval["T"].values():
+            coeffs.append([[[0.0, 0.0]] * k for _ in range(k)])
+    p = tmp_path_factory.mktemp("cfg") / "reference_degree1.json"
+    p.write_text(json.dumps(cfg))
+    return str(p)
+
+
+@pytest.fixture(scope="module")
 def free_config_path(tmp_path_factory):
     cfg = {
         "k": 1,
@@ -106,11 +121,24 @@ def test_regularity_reports_irregular(free_config_path, capsys):
     assert json.loads(out)["is_regular"] is False
 
 
-def test_integrator_failure_exit_code(ref_config, capsys, monkeypatch):
+def test_integrator_failure_exit_code(ref_config_degree1, capsys, monkeypatch):
     monkeypatch.setattr(monodromy, "_MAX_STEPS", 2)
-    rc, _ = run(capsys, "regularity", "--config", ref_config,
+    rc, _ = run(capsys, "regularity", "--config", ref_config_degree1,
                 "--t", "0.25,0.15,-0.2,0.3")
     assert rc == 3
+
+
+def test_overflowing_point_is_an_integrator_failure(ref_config, capsys):
+    # t0 = 1e200 overflows the flow coefficients: a failure, not a crash
+    rc, _ = run(capsys, "connection", "--config", ref_config,
+                "--t", "1e200,0.15,-0.2,0.3")
+    assert rc == 3
+    rc, out = run(capsys, "selfdual-scan", "--config", ref_config,
+                  "--grid", "t0=1e200,t1=0.15,t2=-0.2,t3=0.3", "--jobs", "1")
+    assert rc == 0
+    [row] = json.loads(out)["rows"]
+    assert row["status"] == "integrator_failure"
+    assert row["residual"] is None
 
 
 # --------------------------------------------------------------- connection
@@ -156,10 +184,10 @@ def test_scan_flags_irregular_rows(free_config_path, capsys):
     assert rows[1]["residual"] == 0.0  # free field has zero curvature
 
 
-def test_scan_keeps_rows_after_integrator_failure(ref_config, capsys,
+def test_scan_keeps_rows_after_integrator_failure(ref_config_degree1, capsys,
                                                   monkeypatch):
     monkeypatch.setattr(monodromy, "_MAX_STEPS", 2)
-    rc, out = run(capsys, "selfdual-scan", "--config", ref_config,
+    rc, out = run(capsys, "selfdual-scan", "--config", ref_config_degree1,
                   "--grid", "t0=0.25,t1=0.15,t2=-0.2:0.2:2,t3=0.3",
                   "--jobs", "1")
     assert rc == 0

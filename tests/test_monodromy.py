@@ -63,6 +63,60 @@ def test_transfer_tolerance_scaling():
     assert e_tight < 1e-8
 
 
+def test_expm_matches_scipy():
+    rng = np.random.default_rng(12)
+    for m in range(1, 9):
+        for norm in (1e-3, 1e-1, 1.0, 5.0, 20.0, 50.0):
+            A = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+            A *= norm / np.max(np.sum(np.abs(A), axis=0))
+            want = expm(A)
+            err = np.linalg.norm(mon.expm(A) - want, 1) / np.linalg.norm(want, 1)
+            assert err < 1e-13, (m, norm, err)
+
+
+def test_expm_nilpotent_is_exact():
+    for s in (0.1, 1.0 / 3.0, -2.5, 7.3, 123.456):
+        got = mon.expm(np.array([[0.0, s], [0.0, 0.0]]))
+        assert np.array_equal(got, np.array([[1.0, s], [0.0, 1.0]])), s
+
+
+def test_constant_transfer_matches_dp45():
+    rng = np.random.default_rng(13)
+    data = oracle.random_valid_data(rng, k=2, n=3)
+    t = np.array([0.3, 0.2, -0.25, 0.1])
+    for tag in ("ddag", "d", "finv", "ddagd"):
+        for i in range(data.n):
+            coeff = nahm.flow_coefficient(data, t, i, tag)
+            a, b = data.interval_bounds(i)
+            exact = mon.transfer(coeff, a, b, constant=True)
+            dp45 = mon.transfer(coeff, a, b, tol=1e-12)
+            # mixed absolute/relative, as DP45 controls its error
+            scale = max(1.0, np.max(np.abs(dp45)))
+            assert np.max(np.abs(exact - dp45)) < 1e-9 * scale, (tag, i)
+
+
+def test_constant_transfer_evaluates_coeff_once():
+    C = np.array([[0.0, 1.0], [-4.0, 0.3j]])
+    calls = []
+
+    def coeff(s):
+        calls.append(s)
+        return C
+
+    got = mon.transfer(coeff, 0.2, 1.9, constant=True)
+    assert calls == [0.2]
+    assert np.max(np.abs(got - expm(1.7 * C))) < 1e-13
+
+
+def test_constant_transfer_overflow_raises():
+    C = np.array([[1e200, 1.0], [0.0, 1e200]])
+    with pytest.raises(IntegrationError) as info:
+        mon.transfer(lambda s: C, 0.5, 2.0, constant=True)
+    assert info.value.location == 0.5
+    with pytest.raises(IntegrationError):
+        mon.transfer(lambda s: np.array([[np.inf]]), 0.5, 2.0, constant=True)
+
+
 def test_transfer_step_limit(monkeypatch):
     monkeypatch.setattr(mon, "_MAX_STEPS", 3)
     with pytest.raises(IntegrationError):
@@ -147,6 +201,20 @@ def test_regularity_report(reference, free_data):
     rep0 = mon.regularity(free_data, np.zeros(4))
     assert not rep0.is_regular
     assert rep0.gap_ddag < 1e-8
+
+
+def test_full_loop_path_matrix_is_the_loop():
+    # the unreduced difference x - y decides: y + 2*pi is always the loop,
+    # also where its float difference rounds just above 2*pi
+    rng = np.random.default_rng(14)
+    data = oracle.random_valid_data(rng, k=2, n=3)
+    prop = mon.Propagator(data, np.array([0.3, 0.2, -0.25, 0.1]))
+    bases = [float(y) for y in np.linspace(0.0, TWO_PI, 64, endpoint=False)]
+    bases += [float(lam) for lam in data.lambdas]
+    for tag in ("ddag", "d", "finv", "ddagd"):
+        for y in bases:
+            assert np.array_equal(prop.path_matrix(tag, y, y + TWO_PI),
+                                  prop.loop(tag, y)), (tag, y)
 
 
 def test_three_vector_t_is_rejected(reference):

@@ -89,6 +89,20 @@ def test_spin_trace_and_kron():
         assert np.allclose(tr, want, atol=1e-14)
 
 
+def test_kron_spin_bitwise_equals_np_kron():
+    rng = np.random.default_rng(2)
+    for k in (1, 2, 3, 4):
+        factors = list(spin.SIGMA + spin.E + spin.EBAR) + [
+            rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            for _ in range(3)]
+        m = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        for s in factors:
+            got = spin.kron_spin(s, m)
+            want = np.kron(s, m)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want), k
+
+
 def test_decompose_compose_roundtrip():
     rng = np.random.default_rng(1)
     k = 2
