@@ -39,7 +39,14 @@ _STRICT_TOL = 1e-8
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits with code 1 on usage errors (not 2)."""
+    """argparse that exits with code 1 on usage errors (not 2).
+
+    Long options must be spelled out: with abbreviations, the removed
+    `--h` would silently read as `--help`.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -159,14 +166,11 @@ def cmd_regularity(args):
 def cmd_connection(args):
     data = _load_config(args)
     t = _parse_t(args.t)
-    pot = connection.gauge_potential(data, t, h=args.h, tol=args.ode_tol,
-                                     method=args.method)
+    pot = connection.gauge_potential(data, t, tol=args.ode_tol)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "t": [float(x) for x in t],
-        "h": args.h,
         "ode_tol": args.ode_tol,
-        "method": args.method,
         "A": [_matrix_pairs(pot.A[mu]) for mu in range(4)],
         "chi_min_eigenvalue": pot.chi_min_eigenvalue,
         "antihermiticity_defect": pot.antiherm_defect,
@@ -177,13 +181,12 @@ def cmd_connection(args):
 
 def _scan_row_full(payload):
     """Worker: residual, orientation and action density at one grid point."""
-    cfg, tvals, h, fd_h, tol, method = payload
+    cfg, tvals, h, tol = payload
     data = nahm.from_dict(cfg)
     t = np.array(tvals)
     row = {"t0": tvals[0], "t1": tvals[1], "t2": tvals[2], "t3": tvals[3]}
     try:
-        curv = connection.curvature(data, t, h=h, fd_h=fd_h, tol=tol,
-                                    method=method)
+        curv = connection.curvature(data, t, h=h, tol=tol)
         rep = connection.selfdual_residual(data, t, curv=curv)
         row.update(residual=rep.residual, orientation=rep.orientation,
                    action_density=curv.action_density(), status="ok")
@@ -202,8 +205,7 @@ def cmd_selfdual_scan(args):
     axes = _parse_grid(args.grid)
     points = [(float(a), float(b), float(c), float(d))
               for a in axes[0] for b in axes[1] for c in axes[2] for d in axes[3]]
-    payloads = [(cfg, p, args.curvature_h, args.h, args.ode_tol, args.method)
-                for p in points]
+    payloads = [(cfg, p, args.curvature_h, args.ode_tol) for p in points]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_scan_row_full, payloads))
@@ -226,7 +228,6 @@ def cmd_selfdual_scan(args):
         doc = {
             "schema_version": SCHEMA_VERSION,
             "curvature_h": args.curvature_h,
-            "h": args.h,
             "ode_tol": args.ode_tol,
             "rows": rows,
         }
@@ -290,9 +291,6 @@ def build_parser():
 
     sp = sub.add_parser("connection", help="gauge potential at a point t")
     common(sp, t=True)
-    sp.add_argument("--h", type=float, default=1e-4,
-                    help="finite-difference step in t (default 1e-4)")
-    sp.add_argument("--method", choices=("fd", "integral"), default="fd")
     sp.set_defaults(func=cmd_connection)
 
     sp = sub.add_parser("selfdual-scan",
@@ -300,12 +298,9 @@ def build_parser():
     sp.add_argument("--config", required=True)
     sp.add_argument("--grid", required=True,
                     help="'t0=a:b:n,t1=...,...'; fixed axes as 't2=v'")
-    sp.add_argument("--h", type=float, default=1e-4,
-                    help="inner finite-difference step (default 1e-4)")
     sp.add_argument("--curvature-h", type=float, default=1e-3,
                     help="curvature finite-difference step (default 1e-3)")
     sp.add_argument("--ode-tol", type=float, default=1e-10)
-    sp.add_argument("--method", choices=("fd", "integral"), default="fd")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--jobs", type=int, default=1,
                     help="parallel workers (default 1)")

@@ -60,11 +60,26 @@ class GreensEvaluator(monodromy.Propagator):
         return np.linalg.solve(A, rhs)
 
     def loop_solution(self, tag, alpha):
-        """(iota - id)^{-1} pi_1: source columns of the based loop, (2m, m)."""
+        """(iota - id)^{-1} pi_1: source columns of the based loop, (2m, m).
+
+        For an augmented tag ('finv', nu), whose loop is
+        [[iota, d iota], [0, iota]], the stacked (dK, K) of the same solve by
+        block back-substitution, dK = -(iota - id)^{-1} d iota K, through
+        the same checked inverse.
+        """
         key = (tag, alpha)
         if key not in self._loop_solutions:
-            self._loop_solutions[key] = self._source_solve(
-                tag, self.data.lambdas[alpha], f"marked point {alpha}")
+            where = f"marked point {alpha}"
+            if isinstance(tag, tuple):
+                K = self.loop_solution(tag[0], alpha)
+                M = self.loop(tag, self.data.lambdas[alpha])
+                m = M.shape[0] // 2
+                dK = self._checked_inverse_apply(
+                    M[m:, m:], -M[:m, m:] @ K, f"{tag[0]} loop at {where}")
+                self._loop_solutions[key] = np.vstack([dK, K])
+            else:
+                self._loop_solutions[key] = self._source_solve(
+                    tag, self.data.lambdas[alpha], where)
         return self._loop_solutions[key]
 
     def _source_solve(self, tag, y, where):
@@ -109,16 +124,11 @@ class GreensEvaluator(monodromy.Propagator):
     # -- boundary matrices --------------------------------------------------
 
     def boundary(self, want_G=False):
-        diag_defect = 0.0
-        blocks = {"ddagd": None}
-        for tag in ("finv", "ddagd") if want_G else ("finv",):
-            columns = []
-            for alpha in range(self.data.n):
-                vals, defect = self._boundary_sweep(tag, alpha)
-                diag_defect = max(diag_defect, defect)
-                columns.append(vals)
-            blocks[tag] = np.stack(columns, axis=1)   # [beta, alpha]
-        F, G = blocks["finv"], blocks["ddagd"]
+        F, diag_defect = self._blocks("finv")
+        G = None
+        if want_G:
+            G, defect = self._blocks("ddagd")
+            diag_defect = max(diag_defect, defect)
         herm = _hermiticity_defect(F)
         scale = max(1.0, float(np.max(np.abs(F))))
         if herm > 1e-8 * scale:
@@ -127,6 +137,22 @@ class GreensEvaluator(monodromy.Propagator):
                 "tighten the integrator tolerance")
         return BoundaryGreens(t=tuple(float(x) for x in self.t), F=F, G=G,
                               diag_defect=diag_defect, herm_defect=herm)
+
+    def boundary_derivative(self, nu):
+        """Exact t_nu-derivative of the boundary F-blocks, (n, n, k, k).
+
+        The walk of the augmented flow ('finv', nu) carries (dK, K) from
+        each marked point and reads d_nu F(lambda_beta, lambda_alpha) off
+        its derivative value block.
+        """
+        return self._blocks(("finv", nu))[0]
+
+    def _blocks(self, tag):
+        """Kernel values at every pair of marked points, [beta, alpha], with
+        the worst diagonal defect of the sweeps."""
+        columns, defects = zip(*(self._boundary_sweep(tag, alpha)
+                                 for alpha in range(self.data.n)))
+        return np.stack(columns, axis=1), max(defects)
 
     def _boundary_sweep(self, tag, alpha):
         """Values of the kernel sourced at lambda_alpha, at all marked points.
@@ -137,7 +163,7 @@ class GreensEvaluator(monodromy.Propagator):
         it must agree with the right limit from the loop solve.
         """
         n, lam = self.data.n, self.data.lambdas
-        m = self.data.k if tag == "finv" else 2 * self.data.k
+        m = 2 * self.data.k if tag == "ddagd" else self.data.k
         K = self.loop_solution(tag, alpha)
         stops = [(beta, lam[beta]) for beta in range(alpha + 1, n)]
         stops += [(beta, lam[beta]) for beta in range(alpha + 1)]

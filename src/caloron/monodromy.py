@@ -174,19 +174,28 @@ def second_order_coefficient(data, t, s, operator_tag="finv", side="right"):
     return nahm.flow_coefficient(data, t, i, operator_tag)(su)
 
 
+# ('finv', nu): the finv flow augmented by its t_nu-derivative, on the state
+# (d_nu Y, Y); see nahm.flow_coefficient
+_SECOND_ORDER_TAGS = ("finv", "ddagd") + tuple(("finv", nu) for nu in range(4))
+
+
 def _check_tag(operator_tag):
-    if operator_tag not in ("finv", "ddagd"):
+    if operator_tag not in _SECOND_ORDER_TAGS:
         raise ValueError(
-            f"operator_tag must be 'finv' or 'ddagd', got {operator_tag!r}")
+            "operator_tag must be 'finv', 'ddagd' or ('finv', nu), "
+            f"got {operator_tag!r}")
 
 
 def second_order_jump(data, t, alpha, operator_tag="finv"):
     """Marked-point jump map [[id, 0], [J, id]] on the companion state.
 
     J is t-independent: crossing lambda_alpha, the derivative of a kernel
-    element jumps by J times its (continuous) value.
+    element jumps by J times its (continuous) value.  An augmented tag
+    ('finv', nu) jumps by diag(J, J).
     """
     _check_tag(operator_tag)
+    if isinstance(operator_tag, tuple):
+        return np.kron(np.eye(2), second_order_jump(data, t, alpha, "finv"))
     dT0 = nahm.jump_T(data, alpha, 0)
     parts = q_spin_parts(data, alpha)
     if operator_tag == "finv":

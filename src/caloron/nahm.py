@@ -350,7 +350,10 @@ def flow_coefficient(data, t, i, tag):
     The first-order tags 'ddag' and 'd' give the Weyl matrix of
     weyl_coefficient; the second-order tags give the companion matrix
     [[0, id], [C, B]] with C = i T_0' + (T_0+t_0)^2 + sum_j (T_j+t_j)^2 and
-    B = 2i (T_0+t_0), lifted by kron(id2, .) for 'ddagd'.
+    B = 2i (T_0+t_0), lifted by kron(id2, .) for 'ddagd'.  The tag
+    ('finv', nu) gives the finv flow augmented by its t_nu-derivative,
+    [[M, d_nu M], [0, M]] with d_nu C = 2 (T_nu+t_nu) and d_0 B = 2i: its
+    transfers are [[Y, d_nu Y], [0, Y]] (Van Loan, IEEE TAC 23 (1978) 395).
     """
     t = np.asarray(t, dtype=float)
     if t.shape != (4,):
@@ -376,15 +379,15 @@ def flow_coefficient(data, t, i, tag):
     dc0 = chebyshev.chebder(cs[0], m=1, axis=0)
     dscale = 2.0 / (b - a)
     lifted = tag == "ddagd"
+    nu = tag[1] if isinstance(tag, tuple) else None
 
     def coeff(s):
         u = min(1.0, max(-1.0, (2.0 * s - a - b) / (b - a)))
-        A0 = chebyshev.chebval(u, cs[0]) + t[0] * idk
-        C = 1j * (chebyshev.chebval(u, dc0) * dscale) + A0 @ A0
+        A = [chebyshev.chebval(u, cs[mu]) + t[mu] * idk for mu in range(4)]
+        C = 1j * (chebyshev.chebval(u, dc0) * dscale) + A[0] @ A[0]
         for j in (1, 2, 3):
-            Tj = chebyshev.chebval(u, cs[j]) + t[j] * idk
-            C = C + Tj @ Tj
-        B2 = 2j * A0
+            C = C + A[j] @ A[j]
+        B2 = 2j * A[0]
         if lifted:
             C = kron_spin(np.eye(2), C)
             B2 = kron_spin(np.eye(2), B2)
@@ -393,6 +396,13 @@ def flow_coefficient(data, t, i, tag):
         M[:m, m:] = np.eye(m)
         M[m:, :m] = C
         M[m:, m:] = B2
-        return M
+        if nu is None:
+            return M
+        out = np.zeros((4 * m, 4 * m), dtype=complex)
+        out[:2 * m, :2 * m] = out[2 * m:, 2 * m:] = M
+        out[m:2 * m, 2 * m:3 * m] = 2.0 * A[nu]      # d_nu C
+        if nu == 0:
+            out[m:2 * m, 3 * m:] = 2j * idk          # d_0 B
+        return out
 
     return coeff

@@ -1,5 +1,6 @@
 """Independent cross-checks: closed forms, a dense discretization of the
-second-order operator, reference datasets, and the classical (integral)
+second-order operator, reference datasets, the integral route to the
+t-derivatives of the boundary F-blocks, and the classical (integral)
 route to the gauge potential through the normalized zero modes.
 
 Everything here deliberately avoids the monodromy machinery wherever an
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import connection, greens, monodromy, nahm
-from .errors import ConfigError
+from .errors import ConfigError, IntegrationError
 from .nahm import TWO_PI, eval_T
 from .spin import E, kron_spin
 
@@ -81,7 +82,9 @@ def dense_second_order(data, t, N, operator_tag="finv"):
     averaged at marked nodes, and the marked-point potentials as 1/h
     times the jump coefficient on the node.
     """
-    monodromy._check_tag(operator_tag)
+    if operator_tag not in ("finv", "ddagd"):
+        raise ValueError(
+            f"operator_tag must be 'finv' or 'ddagd', got {operator_tag!r}")
     k = data.k
     h = TWO_PI / N
     A0, W, idx_marked = _node_values(data, t, N)
@@ -310,6 +313,95 @@ def random_regular_t(data, rng, tol=1e-10, gap=1e-3, tries=50):
 
 
 # ---------------------------------------------------------------------------
+# quadrature over the circle, and the integral route to the boundary derivative
+
+def _gl_nodes(a, b, panels, order=12):
+    """Composite Gauss-Legendre nodes and weights on (a, b)."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(a, b, panels + 1)
+    nodes, weights = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        nodes.append(half * x + 0.5 * (hi + lo))
+        weights.append(half * w)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _refine_panels(data, quantity, quad_tol, max_panels, what):
+    """Panel-doubling quadrature over the intervals of the circle.
+
+    quantity(nodes, weights) takes per-interval Gauss-Legendre nodes and
+    weights (_gl_nodes on each interval) and returns an array.  The panels
+    per interval double from 2 until two successive results differ by less
+    than quad_tol; returns the last result with its nodes and weights.
+    """
+    prev = None
+    panels = 2
+    while panels <= max_panels:
+        nodes, weights = zip(*(_gl_nodes(*data.interval_bounds(i), panels)
+                               for i in range(data.n)))
+        out = quantity(nodes, weights)
+        if prev is not None and np.max(np.abs(out - prev)) < quad_tol:
+            return out, nodes, weights
+        prev = out
+        panels *= 2
+    raise IntegrationError(
+        f"{what} did not reach {quad_tol:.1e} within {max_panels} panels "
+        f"per interval")
+
+
+def _node_states(ev, tag, alpha, state, nodes):
+    """States of the walk from lambda_alpha at every node, in base order.
+
+    nodes[i] holds increasing positions inside interval i; the result
+    lists the states interval by interval from interval 0.
+    """
+    n = ev.data.n
+    order = [i % n for i in range(alpha, alpha + n)]
+    stops = [(i, s) for i in order for s in nodes[i]]
+    states = ev.walk(tag, ev.data.lambdas[alpha], stops, state)
+    split = sum(len(nodes[i]) for i in range(alpha, n))
+    return states[split:] + states[:split]
+
+
+def _df_integral(ev, nu, quad_tol, max_panels=64):
+    """t_nu-derivative of the boundary F-blocks by quadrature, (n, n, k, k):
+
+        d_nu F(l_b, l_a) = -2 int F(l_b, s) D_nu(s) F(s, l_a) ds
+
+    with D_j = T_j + t_j and D_0 = i d/ds + T_0 + t_0, on composite
+    Gauss-Legendre panels refined until the result moves less than
+    quad_tol; the cross-check of GreensEvaluator.boundary_derivative.
+    """
+    data = ev.data
+    n, k = data.n, data.k
+    tnu = ev.t[nu]
+
+    def integral(nodes, weights):
+        states = [_node_states(ev, "finv", alpha,
+                               ev.loop_solution("finv", alpha), nodes)
+                  for alpha in range(n)]
+        out = np.zeros((n, n, k, k), dtype=complex)
+        flat = zip(np.concatenate(nodes), np.concatenate(weights))
+        for q, (s, w) in enumerate(flat):
+            Tnu = eval_T(data, nu, s) + tnu * np.eye(k)
+            vals = [states[alpha][q] for alpha in range(n)]
+            for alpha in range(n):
+                Va = vals[alpha][:k, :]
+                if nu == 0:
+                    rhs = 1j * vals[alpha][k:, :] + Tnu @ Va
+                else:
+                    rhs = Tnu @ Va
+                for beta in range(n):
+                    out[beta, alpha] += w * (vals[beta][:k, :].conj().T @ rhs)
+        out *= -2.0
+        return out
+
+    return _refine_panels(data, integral, quad_tol, max_panels,
+                          "boundary-derivative quadrature")[0]
+
+
+# ---------------------------------------------------------------------------
 # zero modes and the classical gauge potential
 
 @dataclass(frozen=True)
@@ -356,7 +448,7 @@ def _zero_mode_bases(ev, chi_mat):
 
 def _psi_at_nodes(ev, bases, nodes):
     """psi on the nodes of every interval, in base order; list of (2k, N)."""
-    walks = [connection._node_states(ev, "ddag", alpha, U, nodes)
+    walks = [_node_states(ev, "ddag", alpha, U, nodes)
              for alpha, U in enumerate(bases)]
     return [-1j * sum(states) for states in zip(*walks)]
 
@@ -372,7 +464,7 @@ def _gram(ev, bases, quad_tol, max_panels):
     def gram(nodes, weights):
         vals = _psi_at_nodes(ev, bases, nodes)
         return _inner(weights, vals, vals)
-    return connection._refine_panels(ev.data, gram, quad_tol, max_panels,
+    return _refine_panels(ev.data, gram, quad_tol, max_panels,
                                      "Gram quadrature")
 
 

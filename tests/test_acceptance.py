@@ -171,7 +171,7 @@ def test_criterion_06_compact_equals_classical(reference):
     worst = 0.0
     for t in POINTS:
         assert monodromy.regularity(reference, t).is_regular
-        compact = connection.gauge_potential(reference, t, h=1e-4)
+        compact = connection.gauge_potential(reference, t)
         classical = oracle.classical_gauge_potential(reference, t, h=1e-4,
                                                      quad_tol=1e-8)
         for mu in range(4):

@@ -164,6 +164,15 @@ def test_connection_deterministic(ref_config, capsys):
     assert out1 == out2
 
 
+def test_connection_removed_flags_are_usage_errors(ref_config, capsys):
+    # the derivatives are exact: no step or method left to choose
+    for extra in (["--method", "integral"], ["--h", "1e-4"]):
+        rc, out = run(capsys, "connection", "--config", ref_config,
+                      "--t", "0.25,0.15,-0.2,0.3", *extra)
+        assert rc == 1
+        assert out == ""
+
+
 def test_connection_irregular_exit_code(free_config_path, capsys):
     rc, _ = run(capsys, "connection", "--config", free_config_path,
                 "--t", "0,0,0,0")

@@ -5,10 +5,18 @@ import pytest
 from scipy.linalg import sqrtm
 
 from caloron import connection as con
-from caloron import greens
+from caloron import greens, oracle
 from caloron.errors import IrregularPointError, PositivityError
 
 T_REF = np.array([0.25, 0.15, -0.2, 0.3])
+
+
+@pytest.fixture(scope="module")
+def cases(reference):
+    """The reference data at T_REF, and criterion 11a's k=2, n=3 data."""
+    rng = np.random.default_rng(42)
+    data = oracle.random_valid_data(rng, k=2, n=3, magnitude=0.3)
+    return [(reference, T_REF), (data, oracle.random_regular_t(data, rng))]
 
 
 def rand_herm(rng, n):
@@ -56,17 +64,21 @@ def test_sylvester_derivative_matches_fd():
 
 # ------------------------------------------------------------ dF boundary
 
-def test_df_fd_vs_integral(reference):
-    for nu in (0, 2):
-        a = con.dF_boundary(reference, T_REF, nu, method="fd")
-        b = con.dF_boundary(reference, T_REF, nu, method="integral")
-        assert np.max(np.abs(a - b)) < 1e-6
+def test_df_exact_vs_integral(cases):
+    # the augmented walk against the quadrature of -2 int F D_nu F ds
+    for data, t in cases:
+        ev = greens.GreensEvaluator(data, t)
+        for nu in range(4):
+            exact = ev.boundary_derivative(nu)
+            quad = oracle._df_integral(ev, nu, quad_tol=1e-8)
+            assert np.max(np.abs(exact - quad)) < 1e-9
 
 
 def test_df_block_hermiticity(reference):
     # dF inherits F's block hermiticity: dF[b,a] = dF[a,b]^dag
+    ev = greens.GreensEvaluator(reference, T_REF)
     for nu in range(4):
-        d = con.dF_boundary(reference, T_REF, nu)
+        d = ev.boundary_derivative(nu)
         for b in range(2):
             for a in range(2):
                 assert np.allclose(d[b, a], d[a, b].conj().T, atol=1e-12)
@@ -86,11 +98,13 @@ def test_gauge_potential_structure(reference):
     assert np.max(np.abs(comm)) > 1e-4
 
 
-def test_gauge_potential_integral_method_agrees(reference):
-    fd = con.gauge_potential(reference, T_REF, method="fd")
-    quad = con.gauge_potential(reference, T_REF, method="integral")
-    for mu in range(4):
-        assert np.max(np.abs(fd.A[mu] - quad.A[mu])) < 1e-6
+def test_gauge_potential_integral_method_agrees(cases, monkeypatch):
+    exact = [con.gauge_potential(data, t).A for data, t in cases]
+    monkeypatch.setattr(greens.GreensEvaluator, "boundary_derivative",
+                        lambda ev, nu: oracle._df_integral(ev, nu, 1e-8))
+    for (data, t), A in zip(cases, exact):
+        quad = con.gauge_potential(data, t).A
+        assert np.max(np.abs(A - quad)) < 1e-9
 
 
 def test_gauge_potential_rejects_irregular(free_data):
@@ -116,6 +130,15 @@ def test_curvature_antisymmetry_and_density(reference):
         for nu in range(4):
             assert np.allclose(curv.F[mu][nu], -curv.F[nu][mu], atol=1e-14)
     assert curv.action_density() > 1e-3
+
+
+def test_selfdual_refinement_passes_the_old_floor(reference):
+    # A is exact, so the residual keeps its O(h^2) fall well below 5e-7,
+    # where finite-difference noise in A (tol / h ~ 1e-6) would stop it
+    seq = [con.selfdual_residual(reference, T_REF, h=h).residual
+           for h in (1e-3, 5e-4, 2.5e-4, 1.25e-4, 6.25e-5, 3.125e-5)]
+    assert all(b < a for a, b in zip(seq, seq[1:])), seq
+    assert seq[-1] < 5e-8, seq
 
 
 def test_selfdual_residual_reference(reference):

@@ -210,12 +210,7 @@ def test_walkers_agree_on_random_data():
         ev = greens.GreensEvaluator(data, t, tol=tol)
         lam = [float(x) for x in data.lambdas]
         gaps = [b - a for a, b in map(data.interval_bounds, range(data.n))]
-        # path_matrix reads x = y + 2*pi modulo 2*pi: take an off-marked
-        # base point where that sum rounds back to a whole period
-        off = next(y for y in ((lam[i] + f * gaps[i]) % TWO_PI
-                               for f in (0.35, 0.5, 0.65, 0.2, 0.8)
-                               for i in range(data.n))
-                   if ((y + TWO_PI) - y) % TWO_PI == 0.0)
+        off = (lam[0] + 0.35 * gaps[0]) % TWO_PI
         for tag in ("ddag", "d", "finv", "ddagd"):
             for y in lam + [off]:
                 path = ev.path_matrix(tag, y, y + TWO_PI)
