@@ -16,8 +16,9 @@ block-hermiticity defect of d_nu F, which antiherm_defect reports.
 
 The t-derivatives of the F-blocks are exact: the coefficients of the
 second-order flow are affine or quadratic in t, so d_nu of every transfer
-is the upper-right block of the transfer of [[M, d_nu M], [0, M]], which
-the circle walk carries like any other flow.  The derivative of chi
+is block (nu, 4) of the transfer of the gradient flow, M on five diagonal
+blocks and d_nu M in block (nu, 4), which the circle walk carries like any
+other flow: all four directions advance together.  The derivative of chi
 follows from the square-root equation chi dchi + dchi chi = -d(QFQ)
 (Sylvester, solved by eigendecomposition).  Curvature components take
 central differences of step h of gauge_potential and are exactly
@@ -28,9 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IrregularPointError, PositivityError
+from .errors import PositivityError
 from .greens import GreensEvaluator, boundary_sandwich, qfq_matrix
-from .monodromy import regularity
 from .spin import BRACKET
 
 _PSD_FLOOR = 1e-12
@@ -77,22 +77,15 @@ class GaugePotential:
     antiherm_defect: float
 
 
-def gauge_potential(data, t, tol=1e-10, check_regularity=False):
+def gauge_potential(data, t, tol=1e-10):
     """Gauge potential A_mu(t) on the boundary space, shape (4, N, N).
 
-    The t-derivatives of the F-blocks are exact (one augmented walk per
-    direction, GreensEvaluator.boundary_derivative); that of chi solves
-    chi dchi + dchi chi = -Q^dag dF Q.
+    The t-derivatives of the F-blocks are exact: one walk of the gradient
+    flow per marked point carries all four (boundary_derivative).  That of
+    chi solves chi dchi + dchi chi = -Q^dag dF Q.  An irregular t raises
+    IrregularPointError from the checked loop solve.
     """
     t = np.asarray(t, dtype=float)
-    if check_regularity:
-        rep = regularity(data, t, tol=tol)
-        if not rep.is_regular:
-            raise IrregularPointError(
-                f"t = {tuple(t)} is not a regular point "
-                f"(gaps {rep.gap_ddag:.3e}, {rep.gap_d:.3e})",
-                gap=min(rep.gap_ddag, rep.gap_d))
-
     ev = GreensEvaluator(data, t, tol)
     bg0 = ev.boundary()
     N = data.total_width
@@ -100,7 +93,7 @@ def gauge_potential(data, t, tol=1e-10, check_regularity=False):
     chi0 = hermitian_sqrt(X0)
     w0 = np.linalg.eigvalsh(0.5 * (X0 + X0.conj().T))
     chi_inv = np.linalg.inv(chi0)
-    dF = [ev.boundary_derivative(nu) for nu in range(4)]
+    dF = ev.boundary_derivative()
 
     A = np.zeros((4, N, N), dtype=complex)
     for mu in range(4):

@@ -54,29 +54,32 @@ class GreensEvaluator(monodromy.Propagator):
         cond = np.linalg.cond(A)
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise IrregularPointError(
-                f"monodromy has a (near-)unit eigenvalue at t = {tuple(self.t)}"
-                f" ({where}; cond = {cond:.3e})",
+                f"monodromy has a (near-)unit eigenvalue at t = "
+                f"{tuple(self.t.tolist())} ({where}; cond = {cond:.3e})",
                 gap=_gap_from_unity(M), cond=float(cond))
         return np.linalg.solve(A, rhs)
 
     def loop_solution(self, tag, alpha):
         """(iota - id)^{-1} pi_1: source columns of the based loop, (2m, m).
 
-        For an augmented tag ('finv', nu), whose loop is
-        [[iota, d iota], [0, iota]], the stacked (dK, K) of the same solve by
-        block back-substitution, dK = -(iota - id)^{-1} d iota K, through
-        the same checked inverse.
+        For the gradient flow 'dfinv', whose loop carries iota on the
+        diagonal and d_nu iota in block (nu, 4), the stacked
+        (d_0 K, ..., d_3 K, K) by block back-substitution,
+        d_nu K = -(iota - id)^{-1} d_nu iota K: one checked solve with the
+        four right-hand sides side by side.
         """
         key = (tag, alpha)
         if key not in self._loop_solutions:
             where = f"marked point {alpha}"
-            if isinstance(tag, tuple):
-                K = self.loop_solution(tag[0], alpha)
+            if tag == "dfinv":
+                K = self.loop_solution("finv", alpha)
                 M = self.loop(tag, self.data.lambdas[alpha])
-                m = M.shape[0] // 2
+                m = 2 * self.data.k
+                iota, d_iota = M[4 * m:, 4 * m:], M[:4 * m, 4 * m:]
                 dK = self._checked_inverse_apply(
-                    M[m:, m:], -M[:m, m:] @ K, f"{tag[0]} loop at {where}")
-                self._loop_solutions[key] = np.vstack([dK, K])
+                    iota, np.hstack(np.split(-d_iota @ K, 4)),
+                    f"{tag} loop at {where}")
+                self._loop_solutions[key] = np.vstack(np.hsplit(dK, 4) + [K])
             else:
                 self._loop_solutions[key] = self._source_solve(
                     tag, self.data.lambdas[alpha], where)
@@ -124,10 +127,10 @@ class GreensEvaluator(monodromy.Propagator):
     # -- boundary matrices --------------------------------------------------
 
     def boundary(self, want_G=False):
-        F, diag_defect = self._blocks("finv")
+        (F,), diag_defect = self._blocks("finv")
         G = None
         if want_G:
-            G, defect = self._blocks("ddagd")
+            (G,), defect = self._blocks("ddagd")
             diag_defect = max(diag_defect, defect)
         herm = _hermiticity_defect(F)
         scale = max(1.0, float(np.max(np.abs(F))))
@@ -138,29 +141,31 @@ class GreensEvaluator(monodromy.Propagator):
         return BoundaryGreens(t=tuple(float(x) for x in self.t), F=F, G=G,
                               diag_defect=diag_defect, herm_defect=herm)
 
-    def boundary_derivative(self, nu):
-        """Exact t_nu-derivative of the boundary F-blocks, (n, n, k, k).
+    def boundary_derivative(self):
+        """Exact t-gradient of the boundary F-blocks, (4, n, n, k, k).
 
-        The walk of the augmented flow ('finv', nu) carries (dK, K) from
-        each marked point and reads d_nu F(lambda_beta, lambda_alpha) off
-        its derivative value block.
+        The walk of the gradient flow 'dfinv' carries (d_0 K, ..., d_3 K, K)
+        from each marked point and reads d_nu F(lambda_beta, lambda_alpha)
+        off the value block of its state nu.
         """
-        return self._blocks(("finv", nu))[0]
+        return self._blocks("dfinv")[0][:4]
 
     def _blocks(self, tag):
-        """Kernel values at every pair of marked points, [beta, alpha], with
-        the worst diagonal defect of the sweeps."""
+        """Kernel values at every pair of marked points, [c, beta, alpha]
+        per companion state c the flow stacks (five for 'dfinv', else one),
+        with the worst diagonal defect of the sweeps."""
         columns, defects = zip(*(self._boundary_sweep(tag, alpha)
                                  for alpha in range(self.data.n)))
-        return np.stack(columns, axis=1), max(defects)
+        return np.array(columns).transpose(2, 1, 0, 3, 4), max(defects)
 
     def _boundary_sweep(self, tag, alpha):
         """Values of the kernel sourced at lambda_alpha, at all marked points.
 
-        Walks once around the circle, recording the value block at every
-        marked point (the jump maps leave values unchanged).  The walk's
-        return to the base point furnishes the left limit of the diagonal;
-        it must agree with the right limit from the loop solve.
+        Walks once around the circle, recording the value blocks of the
+        stacked companion states at every marked point (the jump maps leave
+        values unchanged).  The walk's return to the base point furnishes
+        the left limit of the diagonal; it must agree with the right limit
+        from the loop solve.
         """
         n, lam = self.data.n, self.data.lambdas
         m = 2 * self.data.k if tag == "ddagd" else self.data.k
@@ -169,9 +174,9 @@ class GreensEvaluator(monodromy.Propagator):
         stops += [(beta, lam[beta]) for beta in range(alpha + 1)]
         vals = [None] * n
         for (beta, _), state in zip(stops, self.walk(tag, lam[alpha], stops, K)):
-            vals[beta] = state[:m, :]
+            vals[beta] = state.reshape(-1, 2 * m, m)[:, :m]
         final_val = vals[alpha]
-        right = K[:m, :]
+        right = K.reshape(-1, 2 * m, m)[:, :m]
         defect = float(np.max(np.abs(final_val - right)))
         if defect > _DIAG_TOL * max(1.0, float(np.max(np.abs(right)))):
             raise IntegrationError(

@@ -174,15 +174,15 @@ def second_order_coefficient(data, t, s, operator_tag="finv", side="right"):
     return nahm.flow_coefficient(data, t, i, operator_tag)(su)
 
 
-# ('finv', nu): the finv flow augmented by its t_nu-derivative, on the state
-# (d_nu Y, Y); see nahm.flow_coefficient
-_SECOND_ORDER_TAGS = ("finv", "ddagd") + tuple(("finv", nu) for nu in range(4))
+# 'dfinv': the finv flow augmented by its t-gradient, on the state
+# (d_0 Y, d_1 Y, d_2 Y, d_3 Y, Y); see nahm.flow_coefficient
+_SECOND_ORDER_TAGS = ("finv", "ddagd", "dfinv")
 
 
 def _check_tag(operator_tag):
     if operator_tag not in _SECOND_ORDER_TAGS:
         raise ValueError(
-            "operator_tag must be 'finv', 'ddagd' or ('finv', nu), "
+            "operator_tag must be 'finv', 'ddagd' or 'dfinv', "
             f"got {operator_tag!r}")
 
 
@@ -190,12 +190,12 @@ def second_order_jump(data, t, alpha, operator_tag="finv"):
     """Marked-point jump map [[id, 0], [J, id]] on the companion state.
 
     J is t-independent: crossing lambda_alpha, the derivative of a kernel
-    element jumps by J times its (continuous) value.  An augmented tag
-    ('finv', nu) jumps by diag(J, J).
+    element jumps by J times its (continuous) value.  The gradient flow
+    'dfinv' jumps by kron(id5, the finv jump) on its five stacked states.
     """
     _check_tag(operator_tag)
-    if isinstance(operator_tag, tuple):
-        return np.kron(np.eye(2), second_order_jump(data, t, alpha, "finv"))
+    if operator_tag == "dfinv":
+        return np.kron(np.eye(5), second_order_jump(data, t, alpha, "finv"))
     dT0 = nahm.jump_T(data, alpha, 0)
     parts = q_spin_parts(data, alpha)
     if operator_tag == "finv":
@@ -239,7 +239,7 @@ def interval_transfers_second_order(data, t, operator_tag="finv", tol=1e-10):
 class Propagator:
     """The kernel flows at one (data, t): cached transfers and the circle walk.
 
-    Caches per flow tag ('ddag', 'd', 'finv', 'ddagd') the interval
+    Caches per flow tag ('ddag', 'd', 'finv', 'ddagd', 'dfinv') the interval
     transfers and the jump maps, and per (tag, interval, s0, s1) the
     transfer of every partial span, kept in the interval's own coordinate,
     so that walks from different base points share the spans they have in

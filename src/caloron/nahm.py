@@ -350,10 +350,12 @@ def flow_coefficient(data, t, i, tag):
     The first-order tags 'ddag' and 'd' give the Weyl matrix of
     weyl_coefficient; the second-order tags give the companion matrix
     [[0, id], [C, B]] with C = i T_0' + (T_0+t_0)^2 + sum_j (T_j+t_j)^2 and
-    B = 2i (T_0+t_0), lifted by kron(id2, .) for 'ddagd'.  The tag
-    ('finv', nu) gives the finv flow augmented by its t_nu-derivative,
-    [[M, d_nu M], [0, M]] with d_nu C = 2 (T_nu+t_nu) and d_0 B = 2i: its
-    transfers are [[Y, d_nu Y], [0, Y]] (Van Loan, IEEE TAC 23 (1978) 395).
+    B = 2i (T_0+t_0), lifted by kron(id2, .) for 'ddagd'.  The tag 'dfinv'
+    gives the finv flow augmented by its whole t-gradient, on the state
+    (d_0 Y, d_1 Y, d_2 Y, d_3 Y, Y): M on the five diagonal blocks and
+    d_nu M in block (nu, 4), with d_nu C = 2 (T_nu+t_nu) and d_0 B = 2i, so
+    that a transfer carries d_nu Y in block (nu, 4) and Y on the diagonal
+    (Van Loan, IEEE TAC 23 (1978) 395).
     """
     t = np.asarray(t, dtype=float)
     if t.shape != (4,):
@@ -379,7 +381,6 @@ def flow_coefficient(data, t, i, tag):
     dc0 = chebyshev.chebder(cs[0], m=1, axis=0)
     dscale = 2.0 / (b - a)
     lifted = tag == "ddagd"
-    nu = tag[1] if isinstance(tag, tuple) else None
 
     def coeff(s):
         u = min(1.0, max(-1.0, (2.0 * s - a - b) / (b - a)))
@@ -396,13 +397,12 @@ def flow_coefficient(data, t, i, tag):
         M[:m, m:] = np.eye(m)
         M[m:, :m] = C
         M[m:, m:] = B2
-        if nu is None:
+        if tag != "dfinv":
             return M
-        out = np.zeros((4 * m, 4 * m), dtype=complex)
-        out[:2 * m, :2 * m] = out[2 * m:, 2 * m:] = M
-        out[m:2 * m, 2 * m:3 * m] = 2.0 * A[nu]      # d_nu C
-        if nu == 0:
-            out[m:2 * m, 3 * m:] = 2j * idk          # d_0 B
+        out = np.kron(np.eye(5), M)
+        for nu in range(4):
+            out[(2 * nu + 1) * m:(2 * nu + 2) * m, 8 * m:9 * m] = 2.0 * A[nu]
+        out[m:2 * m, 9 * m:] = 2j * idk              # d_0 B
         return out
 
     return coeff

@@ -174,9 +174,13 @@ def test_connection_removed_flags_are_usage_errors(ref_config, capsys):
 
 
 def test_connection_irregular_exit_code(free_config_path, capsys):
-    rc, _ = run(capsys, "connection", "--config", free_config_path,
-                "--t", "0,0,0,0")
+    rc = cli.main(["connection", "--config", free_config_path,
+                   "--t", "0,0,0,0"])
     assert rc == 4
+    # the message names the point in plain floats
+    err = capsys.readouterr().err
+    assert any("t = (0.0, 0.0, 0.0, 0.0)" in line
+               for line in err.splitlines()), err
 
 
 # -------------------------------------------------------------------- scan

@@ -68,17 +68,16 @@ def test_df_exact_vs_integral(cases):
     # the augmented walk against the quadrature of -2 int F D_nu F ds
     for data, t in cases:
         ev = greens.GreensEvaluator(data, t)
+        exact = ev.boundary_derivative()
         for nu in range(4):
-            exact = ev.boundary_derivative(nu)
             quad = oracle._df_integral(ev, nu, quad_tol=1e-8)
-            assert np.max(np.abs(exact - quad)) < 1e-9
+            assert np.max(np.abs(exact[nu] - quad)) < 1e-9
 
 
 def test_df_block_hermiticity(reference):
     # dF inherits F's block hermiticity: dF[b,a] = dF[a,b]^dag
     ev = greens.GreensEvaluator(reference, T_REF)
-    for nu in range(4):
-        d = ev.boundary_derivative(nu)
+    for d in ev.boundary_derivative():
         for b in range(2):
             for a in range(2):
                 assert np.allclose(d[b, a], d[a, b].conj().T, atol=1e-12)
@@ -101,7 +100,8 @@ def test_gauge_potential_structure(reference):
 def test_gauge_potential_integral_method_agrees(cases, monkeypatch):
     exact = [con.gauge_potential(data, t).A for data, t in cases]
     monkeypatch.setattr(greens.GreensEvaluator, "boundary_derivative",
-                        lambda ev, nu: oracle._df_integral(ev, nu, 1e-8))
+                        lambda ev: np.stack([oracle._df_integral(ev, nu, 1e-8)
+                                             for nu in range(4)]))
     for (data, t), A in zip(cases, exact):
         quad = con.gauge_potential(data, t).A
         assert np.max(np.abs(A - quad)) < 1e-9
@@ -109,7 +109,7 @@ def test_gauge_potential_integral_method_agrees(cases, monkeypatch):
 
 def test_gauge_potential_rejects_irregular(free_data):
     with pytest.raises(IrregularPointError):
-        con.gauge_potential(free_data, np.zeros(4), check_regularity=True)
+        con.gauge_potential(free_data, np.zeros(4))
 
 
 def test_zero_field_on_free_data(free_data):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
 
-from caloron import connection, nahm, oracle
+from caloron import connection, greens, nahm, oracle
 
 DEGREE = 16
 AMPLITUDE = 0.3   # phi(s) = AMPLITUDE * sin(s)
@@ -85,6 +85,17 @@ def test_twin_potential_matches_constant_data(twin_case):
     dA = np.max(np.abs(connection.gauge_potential(twin, t).A
                        - connection.gauge_potential(data, t).A))
     assert dA < 1e-6
+
+
+def test_twin_df_exact_vs_integral(twin_case):
+    # the gradient walk against the quadrature of -2 int F D_nu F ds; 1e-8
+    # is the quadrature's floor on DP45-integrated data
+    _, twin, t = twin_case
+    ev = greens.GreensEvaluator(twin, t)
+    exact = ev.boundary_derivative()
+    for nu in range(4):
+        quad = oracle._df_integral(ev, nu, quad_tol=1e-8)
+        assert np.max(np.abs(exact[nu] - quad)) < 1e-8
 
 
 def test_twin_gram_identity(twin_case):
