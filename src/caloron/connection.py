@@ -18,7 +18,9 @@ The t-derivatives of the F-blocks are exact: the coefficients of the
 second-order flow are affine or quadratic in t, so d_nu of every transfer
 is block (nu, 4) of the transfer of the gradient flow, M on five diagonal
 blocks and d_nu M in block (nu, 4), which the circle walk carries like any
-other flow: all four directions advance together.  The derivative of chi
+other flow: all four directions advance together.  The same walk carries
+the finv transfer on its diagonal, so one sweep of the gradient flow gives
+F and d_nu F; gauge_potential integrates no other flow.  The derivative of chi
 follows from the square-root equation chi dchi + dchi chi = -d(QFQ)
 (Sylvester, solved by eigendecomposition).  Curvature components take
 central differences of step h of gauge_potential and are exactly
@@ -80,20 +82,18 @@ class GaugePotential:
 def gauge_potential(data, t, tol=1e-10):
     """Gauge potential A_mu(t) on the boundary space, shape (4, N, N).
 
-    The t-derivatives of the F-blocks are exact: one walk of the gradient
-    flow per marked point carries all four (boundary_derivative).  That of
-    chi solves chi dchi + dchi chi = -Q^dag dF Q.  An irregular t raises
+    The F-blocks and their exact t-derivatives come from one walk of the
+    gradient flow per marked point (boundary_and_derivative).  That of chi
+    solves chi dchi + dchi chi = -Q^dag dF Q.  An irregular t raises
     IrregularPointError from the checked loop solve.
     """
     t = np.asarray(t, dtype=float)
-    ev = GreensEvaluator(data, t, tol)
-    bg0 = ev.boundary()
+    bg0, dF = GreensEvaluator(data, t, tol).boundary_and_derivative()
     N = data.total_width
     X0 = np.eye(N) - qfq_matrix(data, bg0)
     chi0 = hermitian_sqrt(X0)
     w0 = np.linalg.eigvalsh(0.5 * (X0 + X0.conj().T))
     chi_inv = np.linalg.inv(chi0)
-    dF = ev.boundary_derivative()
 
     A = np.zeros((4, N, N), dtype=complex)
     for mu in range(4):

@@ -62,35 +62,32 @@ class GreensEvaluator(monodromy.Propagator):
     def loop_solution(self, tag, alpha):
         """(iota - id)^{-1} pi_1: source columns of the based loop, (2m, m).
 
-        For the gradient flow 'dfinv', whose loop carries iota on the
-        diagonal and d_nu iota in block (nu, 4), the stacked
-        (d_0 K, ..., d_3 K, K) by block back-substitution,
-        d_nu K = -(iota - id)^{-1} d_nu iota K: one checked solve with the
-        four right-hand sides side by side.
+        For the gradient flow 'dfinv', whose loop carries the finv loop iota
+        on the diagonal and d_nu iota in block (nu, 4), the stacked
+        (d_0 K, ..., d_3 K, K): K from the diagonal block, then by block
+        back-substitution d_nu K = -(iota - id)^{-1} d_nu iota K, one
+        checked solve with the four right-hand sides side by side.
         """
         key = (tag, alpha)
         if key not in self._loop_solutions:
-            where = f"marked point {alpha}"
+            where = f"{tag} loop at marked point {alpha}"
+            M = self.loop(tag, self.data.lambdas[alpha])
             if tag == "dfinv":
-                K = self.loop_solution("finv", alpha)
-                M = self.loop(tag, self.data.lambdas[alpha])
                 m = 2 * self.data.k
                 iota, d_iota = M[4 * m:, 4 * m:], M[:4 * m, 4 * m:]
+                K = self._source_solve(iota, where)
                 dK = self._checked_inverse_apply(
-                    iota, np.hstack(np.split(-d_iota @ K, 4)),
-                    f"{tag} loop at {where}")
+                    iota, np.hstack(np.split(-d_iota @ K, 4)), where)
                 self._loop_solutions[key] = np.vstack(np.hsplit(dK, 4) + [K])
             else:
-                self._loop_solutions[key] = self._source_solve(
-                    tag, self.data.lambdas[alpha], where)
+                self._loop_solutions[key] = self._source_solve(M, where)
         return self._loop_solutions[key]
 
-    def _source_solve(self, tag, y, where):
-        M = self.loop(tag, y)
+    def _source_solve(self, M, where):
         m = M.shape[0] // 2
         P1 = np.zeros((2 * m, m), dtype=complex)
         P1[m:, :] = np.eye(m)
-        return self._checked_inverse_apply(M, P1, f"{tag} loop at {where}")
+        return self._checked_inverse_apply(M, P1, where)
 
     # -- kernels -----------------------------------------------------------
 
@@ -117,7 +114,8 @@ class GreensEvaluator(monodromy.Propagator):
             K = self.loop_solution(tag, alpha)
             y = float(self.data.lambdas[alpha])
         else:
-            K = self._source_solve(tag, y, f"s = {y:.6g}")
+            K = self._source_solve(self.loop(tag, y),
+                                   f"{tag} loop at s = {y:.6g}")
         d = (x - y) % TWO_PI
         if d == 0.0:
             return K[:m, :].copy()
@@ -132,6 +130,21 @@ class GreensEvaluator(monodromy.Propagator):
         if want_G:
             (G,), defect = self._blocks("ddagd")
             diag_defect = max(diag_defect, defect)
+        return self._checked_boundary(F, G, diag_defect)
+
+    def boundary_and_derivative(self):
+        """The boundary F-blocks and their exact t-gradient, (4, n, n, k, k),
+        from one sweep of the gradient flow.
+
+        The walk of the gradient flow 'dfinv' carries (d_0 K, ..., d_3 K, K)
+        from each marked point and reads d_nu F(lambda_beta, lambda_alpha)
+        off the value block of its state nu, and F off that of state 4.
+        Returns (BoundaryGreens without G, dF).
+        """
+        blocks, diag_defect = self._blocks("dfinv")
+        return self._checked_boundary(blocks[4], None, diag_defect), blocks[:4]
+
+    def _checked_boundary(self, F, G, diag_defect):
         herm = _hermiticity_defect(F)
         scale = max(1.0, float(np.max(np.abs(F))))
         if herm > 1e-8 * scale:
@@ -140,15 +153,6 @@ class GreensEvaluator(monodromy.Propagator):
                 "tighten the integrator tolerance")
         return BoundaryGreens(t=tuple(float(x) for x in self.t), F=F, G=G,
                               diag_defect=diag_defect, herm_defect=herm)
-
-    def boundary_derivative(self):
-        """Exact t-gradient of the boundary F-blocks, (4, n, n, k, k).
-
-        The walk of the gradient flow 'dfinv' carries (d_0 K, ..., d_3 K, K)
-        from each marked point and reads d_nu F(lambda_beta, lambda_alpha)
-        off the value block of its state nu.
-        """
-        return self._blocks("dfinv")[0][:4]
 
     def _blocks(self, tag):
         """Kernel values at every pair of marked points, [c, beta, alpha]

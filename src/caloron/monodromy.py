@@ -20,7 +20,10 @@ continuous, the derivative picks up J times the value):
 * ddagd : J = kron(id2, i Delta T_0) - sum_j kron(E[j], (Q Q^dagger)_j)
 
 An interval transfer is the exact exponential of the constant coefficient
-on a degree-0 interval and an adaptive DP45 integration on the others.
+on a degree-0 interval and an adaptive DP45 integration on the others,
+whose coefficient (nahm.flow_coefficient) is a precomputed Chebyshev
+series: an evaluation per stage is one small product, and a Propagator
+builds it once per (flow, interval) for all the spans it integrates.
 Every composed transfer is one walk of a Propagator: from a base point y
 it multiplies interval transfers (and transfers of partial spans) in order
 and applies the jump of every marked point crossed, i.e. those in
@@ -39,7 +42,7 @@ from .spin import E, kron_spin
 
 # Dormand-Prince 5(4) tableau
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = (
+_DP_A = tuple(np.array(row) for row in (
     (),
     (1 / 5,),
     (3 / 40, 9 / 40),
@@ -47,7 +50,7 @@ _DP_A = (
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
+))
 _DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # b - bhat: weights of the embedded 4th-order error estimate
 _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
@@ -122,7 +125,7 @@ def transfer(coeff, s0, s1, tol=1e-10, constant=False):
     scale = np.max(np.abs(C0)) + 1e-30
     h = direction * min(abs(span), max(0.1 / scale, 1e-6 * abs(span)))
     s = s0
-    K1 = C0.copy()  # f(s0, id)
+    K1 = C0  # f(s0, id)
     steps = 0
     while (s1 - s) * direction > 0:
         if abs(h) < _MIN_STEP_FACTOR * max(1.0, abs(s)):
@@ -134,14 +137,17 @@ def transfer(coeff, s0, s1, tol=1e-10, constant=False):
                 f"step limit exceeded near s = {s:.6g}", location=s)
         if (s + h - s1) * direction > 0:
             h = s1 - s
-        K = [K1]
+        # the stages stacked, each weighted sum one real product over them
+        K = np.empty((7, m, m), dtype=complex)
+        Kr = K.reshape(7, m * m).view(float)
+        K[0] = K1
         for i in range(1, 7):
-            Zi = Y + h * sum(a * Kj for a, Kj in zip(_DP_A[i], K))
-            K.append(np.asarray(coeff(s + _DP_C[i] * h), dtype=complex) @ Zi)
-        Ynew = Y + h * sum(b * Kj for b, Kj in zip(_DP_B, K) if b != 0.0)
-        err = h * sum(e * Kj for e, Kj in zip(_DP_E, K) if e != 0.0)
-        sc = tol + tol * max(np.max(np.abs(Y)), np.max(np.abs(Ynew)))
-        enorm = np.max(np.abs(err)) / sc
+            Zi = Y + h * (_DP_A[i] @ Kr[:i]).view(complex).reshape(m, m)
+            K[i] = np.asarray(coeff(s + _DP_C[i] * h), dtype=complex) @ Zi
+        Ynew = Y + h * (_DP_B @ Kr).view(complex).reshape(m, m)
+        err = h * (_DP_E @ Kr).view(complex)
+        sc = tol + tol * max(np.abs(Y).max(), np.abs(Ynew).max())
+        enorm = np.abs(err).max() / sc
         if enorm <= 1.0:
             s = s + h
             Y = Ynew
@@ -210,38 +216,42 @@ def second_order_jump(data, t, alpha, operator_tag="finv"):
     return out
 
 
-def _interval_transfer(data, t, i, tag, s0, s1, tol):
-    """Transfer of flow `tag` over [s0, s1] in interval i's own coordinate.
+def _interval_transfer(data, i, coeff, s0, s1, tol):
+    """Transfer of the flow with coefficient `coeff` on interval i over
+    [s0, s1], in the interval's own coordinate.
 
     A degree-0 interval has a constant coefficient, whose transfer is the
     exact exponential; the others are integrated by DP45 at tol.
     """
-    return transfer(nahm.flow_coefficient(data, t, i, tag), s0, s1, tol,
-                    constant=data.intervals[i].degree == 0)
+    return transfer(coeff, s0, s1, tol, constant=data.intervals[i].degree == 0)
+
+
+def _closed_transfers(data, t, tag, tol):
+    return [_interval_transfer(data, i, nahm.flow_coefficient(data, t, i, tag),
+                               *data.interval_bounds(i), tol)
+            for i in range(data.n)]
 
 
 def interval_transfers_first_order(data, t, which="ddag", tol=1e-10):
     """Transfer matrices over each closed interval [lambda_i, lambda_{i+1}]."""
     if which not in ("ddag", "d"):
         raise ValueError(f"which must be 'ddag' or 'd', got {which!r}")
-    return [_interval_transfer(data, t, i, which, *data.interval_bounds(i), tol)
-            for i in range(data.n)]
+    return _closed_transfers(data, t, which, tol)
 
 
 def interval_transfers_second_order(data, t, operator_tag="finv", tol=1e-10):
     """Companion-system transfers over each closed interval."""
     _check_tag(operator_tag)
-    return [_interval_transfer(data, t, i, operator_tag,
-                               *data.interval_bounds(i), tol)
-            for i in range(data.n)]
+    return _closed_transfers(data, t, operator_tag, tol)
 
 
 class Propagator:
     """The kernel flows at one (data, t): cached transfers and the circle walk.
 
     Caches per flow tag ('ddag', 'd', 'finv', 'ddagd', 'dfinv') the interval
-    transfers and the jump maps, and per (tag, interval, s0, s1) the
-    transfer of every partial span, kept in the interval's own coordinate,
+    transfers and the jump maps, per (tag, interval) the flow coefficient,
+    and per (tag, interval, s0, s1) the transfer of every partial span,
+    kept in the interval's own coordinate,
     so that walks from different base points share the spans they have in
     common.  tol is the DP45 tolerance of the degree>0 intervals.
     """
@@ -252,6 +262,7 @@ class Propagator:
         self.tol = tol
         self._transfers = {}
         self._jumps = {}
+        self._coeffs = {}
         self._spans = {}
 
     def interval_transfers(self, tag):
@@ -274,11 +285,17 @@ class Propagator:
                                 for alpha in range(self.data.n)]
         return self._jumps[tag]
 
+    def _coefficient(self, tag, i):
+        key = (tag, i)
+        if key not in self._coeffs:
+            self._coeffs[key] = nahm.flow_coefficient(self.data, self.t, i, tag)
+        return self._coeffs[key]
+
     def _span(self, tag, i, s0, s1):
         key = (tag, i, s0, s1)
         if key not in self._spans:
             self._spans[key] = _interval_transfer(
-                self.data, self.t, i, tag, s0, s1, self.tol)
+                self.data, i, self._coefficient(tag, i), s0, s1, self.tol)
         return self._spans[key]
 
     def walk(self, tag, y, stops, state=None):

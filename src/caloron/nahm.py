@@ -30,14 +30,16 @@ variable u = (2*s - a - b)/(b - a) mapping [a, b] -> [-1, 1].
 """
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev
 
 from .errors import ConfigError
-from .spin import kron_spin, pauli, spin_decompose
+from .spin import pauli, spin_decompose
 
 TWO_PI = 2.0 * np.pi
 
@@ -343,66 +345,96 @@ def weyl_coefficient(data, t, s, side="right", which="ddag"):
     return flow_coefficient(data, t, i, which)(su)
 
 
+@lru_cache(maxsize=None)
+def _cheb_basis(P):
+    """Basis matrix V[q, p] = T_p(u_q) at the P Chebyshev points of the first
+    kind u_q = cos(pi (q + 1/2) / P), and its inverse (2/P) V^T with the
+    first row halved (discrete orthogonality)."""
+    V = np.cos(np.outer(np.pi * (np.arange(P) + 0.5) / P, np.arange(P)))
+    Vinv = V.T * (2.0 / P)
+    Vinv[0] *= 0.5
+    V.setflags(write=False)
+    Vinv.setflags(write=False)
+    return V, Vinv
+
+
+def _flow_matrices(tag, A, dA0):
+    """Flow matrices of `tag` at a stack of points, (P, dim, dim).
+
+    A holds T_mu + t_mu at the points, (P, 4, k, k), and dA0 dT_0/ds (or 0);
+    np.kron lifts every matrix of a stack at once.
+    """
+    if tag in ("ddag", "d"):
+        sign = -1.0 if tag == "ddag" else 1.0
+        return np.kron(np.eye(2), 1j * A[:, 0]) + sign * sum(
+            np.kron(pauli(j), A[:, j]) for j in (1, 2, 3))
+    C = 1j * dA0 + (A @ A).sum(axis=1)
+    B2 = 2j * A[:, 0]
+    if tag == "ddagd":
+        C, B2 = np.kron(np.eye(2), C), np.kron(np.eye(2), B2)
+    m = C.shape[1]
+    M = np.zeros((len(C), 2 * m, 2 * m), dtype=complex)
+    M[:, :m, m:] = np.eye(m)
+    M[:, m:, :m] = C
+    M[:, m:, m:] = B2
+    if tag != "dfinv":
+        return M
+    out = np.kron(np.eye(5), M)
+    for nu in range(4):
+        out[:, (2 * nu + 1) * m:(2 * nu + 2) * m, 8 * m:9 * m] = 2.0 * A[:, nu]
+    out[:, m:2 * m, 9 * m:] = 2j * np.eye(m)              # d_0 B
+    return out
+
+
 def flow_coefficient(data, t, i, tag):
     """Coefficient s -> M(s) of the kernel flow `tag` on interval i.
 
-    s is in the interval's own coordinate, [a_i, b_i] of interval_bounds.
-    The first-order tags 'ddag' and 'd' give the Weyl matrix of
-    weyl_coefficient; the second-order tags give the companion matrix
-    [[0, id], [C, B]] with C = i T_0' + (T_0+t_0)^2 + sum_j (T_j+t_j)^2 and
-    B = 2i (T_0+t_0), lifted by kron(id2, .) for 'ddagd'.  The tag 'dfinv'
-    gives the finv flow augmented by its whole t-gradient, on the state
-    (d_0 Y, d_1 Y, d_2 Y, d_3 Y, Y): M on the five diagonal blocks and
+    s is in the interval's own coordinate, [a_i, b_i] of interval_bounds,
+    clipped to it.  The first-order tags 'ddag' and 'd' give the Weyl
+    matrix of weyl_coefficient; the second-order tags give the companion
+    matrix [[0, id], [C, B]] with C = i T_0' + (T_0+t_0)^2 + sum_j (T_j+t_j)^2
+    and B = 2i (T_0+t_0), lifted by kron(id2, .) for 'ddagd'.  The tag
+    'dfinv' gives the finv flow augmented by its whole t-gradient, on the
+    state (d_0 Y, d_1 Y, d_2 Y, d_3 Y, Y): M on the five diagonal blocks and
     d_nu M in block (nu, 4), with d_nu C = 2 (T_nu+t_nu) and d_0 B = 2i, so
     that a transfer carries d_nu Y in block (nu, 4) and Y on the diagonal
     (Van Loan, IEEE TAC 23 (1978) 395).
+
+    M is a polynomial in the interval's variable u of degree d (first
+    order) or 2d (second order, quadratic in T) for T of degree d, so it is
+    built once, exactly, as a matrix-valued Chebyshev series: its values at
+    as many Chebyshev points as it has terms, mapped back to coefficients.
+    An evaluation is then one basis-vector times coefficient-matrix product;
+    a degree-0 interval returns its one constant matrix.
     """
     t = np.asarray(t, dtype=float)
     if t.shape != (4,):
         raise ValueError("t must be a 4-vector (t0, t1, t2, t3)")
-    cs = data.intervals[i].coeffs
+    iv = data.intervals[i]
     a, b = data.interval_bounds(i)
-    idk = np.eye(data.k)
-
-    if tag in ("ddag", "d"):
-        sign = -1.0 if tag == "ddag" else 1.0
-
-        def coeff(s):
-            u = min(1.0, max(-1.0, (2.0 * s - a - b) / (b - a)))
-            T0 = chebyshev.chebval(u, cs[0]) + t[0] * idk
-            M = kron_spin(np.eye(2), 1j * T0)
-            for j in (1, 2, 3):
-                Tj = chebyshev.chebval(u, cs[j]) + t[j] * idk
-                M = M + sign * kron_spin(pauli(j), Tj)
-            return M
-
-        return coeff
-
-    dc0 = chebyshev.chebder(cs[0], m=1, axis=0)
-    dscale = 2.0 / (b - a)
-    lifted = tag == "ddagd"
+    d = iv.degree
+    P = d + 1 if tag in ("ddag", "d") else 2 * d + 1
+    V, Vinv = _cheb_basis(P)
+    A = np.tensordot(V[:, :d + 1], iv.coeffs, axes=([1], [1]))
+    A = A + t[None, :, None, None] * np.eye(data.k)
+    dA0 = 0.0
+    if d > 0:
+        dc0 = chebyshev.chebder(iv.coeffs[0], m=1, axis=0)
+        dA0 = np.tensordot(V[:, :d], dc0, axes=1) * (2.0 / (b - a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = _flow_matrices(tag, A, dA0)   # a non-finite M fails its transfer
+    if P == 1:
+        const = M[0]
+        const.setflags(write=False)
+        return lambda s: const
+    # real and imaginary parts side by side, so that both products are real
+    dim = M.shape[1]
+    series = Vinv @ M.reshape(P, dim * dim).view(float)
+    orders = np.arange(P)
 
     def coeff(s):
         u = min(1.0, max(-1.0, (2.0 * s - a - b) / (b - a)))
-        A = [chebyshev.chebval(u, cs[mu]) + t[mu] * idk for mu in range(4)]
-        C = 1j * (chebyshev.chebval(u, dc0) * dscale) + A[0] @ A[0]
-        for j in (1, 2, 3):
-            C = C + A[j] @ A[j]
-        B2 = 2j * A[0]
-        if lifted:
-            C = kron_spin(np.eye(2), C)
-            B2 = kron_spin(np.eye(2), B2)
-        m = C.shape[0]
-        M = np.zeros((2 * m, 2 * m), dtype=complex)
-        M[:m, m:] = np.eye(m)
-        M[m:, :m] = C
-        M[m:, m:] = B2
-        if tag != "dfinv":
-            return M
-        out = np.kron(np.eye(5), M)
-        for nu in range(4):
-            out[(2 * nu + 1) * m:(2 * nu + 2) * m, 8 * m:9 * m] = 2.0 * A[nu]
-        out[m:2 * m, 9 * m:] = 2j * idk              # d_0 B
-        return out
+        basis = np.cos(orders * math.acos(u))
+        return (basis @ series).view(complex).reshape(dim, dim)
 
     return coeff

@@ -31,3 +31,33 @@ def free_config():
 @pytest.fixture(scope="session")
 def free_data(free_config):
     return nahm.from_dict(free_config)
+
+
+def random_poly_data(rng, k=2, n=2, degree=3, magnitude=0.3):
+    """Off-shell data: random non-commuting hermitian polynomial T_mu and Q.
+
+    T_mu has Chebyshev coefficients of size magnitude / (p + 1) on every
+    interval, so no gauge makes it constant; Q is random of width 1.  The
+    second-order (finv) operator is self-adjoint for any hermitian T, so
+    the F layer and its t-derivatives can be checked on such data.
+    """
+    def herm(scale):
+        M = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        return scale * 0.5 * (M + M.conj().T)
+
+    def pairs(arr):
+        return np.stack([arr.real, arr.imag], axis=-1).tolist()
+
+    lambdas = (np.arange(n) + rng.uniform(0.1, 0.6)) * (2.0 * np.pi / n)
+    return nahm.from_dict({
+        "k": k,
+        "lambdas": lambdas.tolist(),
+        "intervals": [
+            {"degree": degree,
+             "T": {str(mu): [pairs(herm(magnitude / (p + 1)))
+                             for p in range(degree + 1)] for mu in range(4)}}
+            for _ in range(n)],
+        "Q": [pairs(magnitude * (rng.normal(size=(2 * k, 1))
+                                 + 1j * rng.normal(size=(2 * k, 1))))
+              for _ in range(n)],
+    })

@@ -8,6 +8,8 @@ from caloron import connection as con
 from caloron import greens, oracle
 from caloron.errors import IrregularPointError, PositivityError
 
+from conftest import random_poly_data
+
 T_REF = np.array([0.25, 0.15, -0.2, 0.3])
 
 
@@ -17,6 +19,14 @@ def cases(reference):
     rng = np.random.default_rng(42)
     data = oracle.random_valid_data(rng, k=2, n=3, magnitude=0.3)
     return [(reference, T_REF), (data, oracle.random_regular_t(data, rng))]
+
+
+@pytest.fixture(scope="module")
+def poly_case():
+    """k=2, n=2 degree-3 data that no gauge makes constant, at a regular t."""
+    rng = np.random.default_rng(7)
+    data = random_poly_data(rng, k=2, n=2, degree=3)
+    return data, oracle.random_regular_t(data, rng)
 
 
 def rand_herm(rng, n):
@@ -68,16 +78,35 @@ def test_df_exact_vs_integral(cases):
     # the augmented walk against the quadrature of -2 int F D_nu F ds
     for data, t in cases:
         ev = greens.GreensEvaluator(data, t)
-        exact = ev.boundary_derivative()
+        exact = ev.boundary_and_derivative()[1]
         for nu in range(4):
             quad = oracle._df_integral(ev, nu, quad_tol=1e-8)
             assert np.max(np.abs(exact[nu] - quad)) < 1e-9
 
 
+def test_df_exact_vs_integral_on_polynomial_data(poly_case):
+    # the gradient walk against the quadrature on non-commuting s-dependent
+    # data; the finv operator is self-adjoint for any hermitian T
+    data, t = poly_case
+    ev = greens.GreensEvaluator(data, t)
+    exact = ev.boundary_and_derivative()[1]
+    for nu in range(4):
+        quad = oracle._df_integral(ev, nu, quad_tol=1e-9)
+        assert np.max(np.abs(exact[nu] - quad)) < 1e-8
+
+
+def test_potential_chi_matches_boundary_greens(cases, poly_case):
+    # gauge_potential reads F off the gradient flow; boundary_greens
+    # integrates the finv flow on its own
+    for (data, t), bound in [(c, 1e-12) for c in cases] + [(poly_case, 1e-9)]:
+        chi = con.chi_from_boundary(data, greens.boundary_greens(data, t))
+        assert np.max(np.abs(con.gauge_potential(data, t).chi - chi)) < bound
+
+
 def test_df_block_hermiticity(reference):
     # dF inherits F's block hermiticity: dF[b,a] = dF[a,b]^dag
     ev = greens.GreensEvaluator(reference, T_REF)
-    for d in ev.boundary_derivative():
+    for d in ev.boundary_and_derivative()[1]:
         for b in range(2):
             for a in range(2):
                 assert np.allclose(d[b, a], d[a, b].conj().T, atol=1e-12)
@@ -99,9 +128,10 @@ def test_gauge_potential_structure(reference):
 
 def test_gauge_potential_integral_method_agrees(cases, monkeypatch):
     exact = [con.gauge_potential(data, t).A for data, t in cases]
-    monkeypatch.setattr(greens.GreensEvaluator, "boundary_derivative",
-                        lambda ev: np.stack([oracle._df_integral(ev, nu, 1e-8)
-                                             for nu in range(4)]))
+    monkeypatch.setattr(greens.GreensEvaluator, "boundary_and_derivative",
+                        lambda ev: (ev.boundary(),
+                                    np.stack([oracle._df_integral(ev, nu, 1e-8)
+                                              for nu in range(4)])))
     for (data, t), A in zip(cases, exact):
         quad = con.gauge_potential(data, t).A
         assert np.max(np.abs(A - quad)) < 1e-9

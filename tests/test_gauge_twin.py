@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
 
-from caloron import connection, greens, nahm, oracle
+from caloron import connection, greens, monodromy, nahm, oracle
 
 DEGREE = 16
 AMPLITUDE = 0.3   # phi(s) = AMPLITUDE * sin(s)
@@ -87,12 +87,42 @@ def test_twin_potential_matches_constant_data(twin_case):
     assert dA < 1e-6
 
 
+def test_twin_potential_chi_matches_boundary_greens(twin_case):
+    _, twin, t = twin_case
+    chi = connection.chi_from_boundary(twin, greens.boundary_greens(twin, t))
+    assert np.max(np.abs(connection.gauge_potential(twin, t).chi - chi)) < 1e-9
+
+
+def test_twin_potential_builds_each_coefficient_once(twin_case, monkeypatch):
+    # one gauge_potential integrates the gradient flow alone and builds the
+    # coefficient series of each (tag, interval) at most once
+    _, twin, t = twin_case
+    builds = []
+    original = nahm.flow_coefficient
+
+    def counted(data, t, i, tag):
+        builds.append((tag, i))
+        return original(data, t, i, tag)
+
+    monkeypatch.setattr(nahm, "flow_coefficient", counted)
+    connection.gauge_potential(twin, t)
+    assert sorted(builds) == [("dfinv", i) for i in range(twin.n)]
+    # partial spans of an interval share its cached coefficient
+    prop = monodromy.Propagator(twin, t)
+    a, b = twin.interval_bounds(0)
+    prop.path_matrix("ddag", a, 0.5 * (a + b))
+    before = len(builds)
+    for s in np.linspace(a, b, 6)[1:-1]:
+        prop.path_matrix("ddag", a, s)
+    assert len(builds) == before
+
+
 def test_twin_df_exact_vs_integral(twin_case):
     # the gradient walk against the quadrature of -2 int F D_nu F ds; 1e-8
     # is the quadrature's floor on DP45-integrated data
     _, twin, t = twin_case
     ev = greens.GreensEvaluator(twin, t)
-    exact = ev.boundary_derivative()
+    exact = ev.boundary_and_derivative()[1]
     for nu in range(4):
         quad = oracle._df_integral(ev, nu, quad_tol=1e-8)
         assert np.max(np.abs(exact[nu] - quad)) < 1e-8

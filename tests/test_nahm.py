@@ -8,7 +8,7 @@ import pytest
 from caloron import nahm, spin
 from caloron.errors import ConfigError
 
-from conftest import zero_mat
+from conftest import random_poly_data, zero_mat
 
 TWO_PI = 2.0 * np.pi
 
@@ -213,3 +213,49 @@ def test_weyl_coefficient_sign_split(reference):
         tj = nahm.eval_T(reference, j, s) + t[j] * np.eye(k)
         sig_part += np.kron(spin.pauli(j), tj)
     assert np.allclose(md - mu, -2.0 * sig_part, atol=1e-13)
+
+
+def _direct_flow_matrix(data, t, i, tag, u):
+    """The flow matrix of `tag` at u on interval i, rebuilt pointwise from
+    eval_T / eval_T_deriv."""
+    a, b = data.interval_bounds(i)
+    s = 0.5 * (a + b) + 0.5 * (b - a) * u
+    side = "left" if u == 1.0 else "right"
+    k = data.k
+    A = [nahm.eval_T(data, mu, s, side) + t[mu] * np.eye(k) for mu in range(4)]
+    if tag in ("ddag", "d"):
+        sign = -1.0 if tag == "ddag" else 1.0
+        return np.kron(np.eye(2), 1j * A[0]) + sign * sum(
+            np.kron(spin.pauli(j), A[j]) for j in (1, 2, 3))
+    C = 1j * nahm.eval_T_deriv(data, 0, s, side) + sum(X @ X for X in A)
+    B = 2j * A[0]
+    if tag == "ddagd":
+        C, B = np.kron(np.eye(2), C), np.kron(np.eye(2), B)
+    m = C.shape[0]
+    M = np.block([[np.zeros((m, m)), np.eye(m)], [C, B]])
+    if tag != "dfinv":
+        return M
+    out = np.kron(np.eye(5), M)
+    for nu in range(4):
+        out[(2 * nu + 1) * k:(2 * nu + 2) * k, 8 * k:9 * k] = 2.0 * A[nu]
+    out[k:2 * k, 9 * k:] = 2j * np.eye(k)
+    return out
+
+
+@pytest.mark.parametrize("degree", [3, 16])
+def test_flow_coefficient_series_matches_pointwise_formula(degree):
+    # the precomputed Chebyshev series of every flow matrix against the
+    # pointwise formula, at both ends, the middle and random u
+    rng = np.random.default_rng(degree)
+    data = random_poly_data(rng, k=2, n=2, degree=degree)
+    t = rng.uniform(-0.8, 0.8, size=4)
+    us = [-1.0, 0.0, 1.0] + list(rng.uniform(-1.0, 1.0, size=5))
+    for i in range(data.n):
+        a, b = data.interval_bounds(i)
+        for tag in ("ddag", "d", "finv", "ddagd", "dfinv"):
+            coeff = nahm.flow_coefficient(data, t, i, tag)
+            for u in us:
+                want = _direct_flow_matrix(data, t, i, tag, u)
+                got = coeff(0.5 * (a + b) + 0.5 * (b - a) * u)
+                scale = max(1.0, np.max(np.abs(want)))
+                assert np.max(np.abs(got - want)) < 1e-13 * scale, (tag, i, u)
