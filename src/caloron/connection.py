@@ -83,12 +83,13 @@ def gauge_potential(data, t, tol=1e-10):
     """Gauge potential A_mu(t) on the boundary space, shape (4, N, N).
 
     The F-blocks and their exact t-derivatives come from one walk of the
-    gradient flow per marked point (boundary_and_derivative).  That of chi
+    gradient flow per marked point (boundary with want_dF).  That of chi
     solves chi dchi + dchi chi = -Q^dag dF Q.  An irregular t raises
     IrregularPointError from the checked loop solve.
     """
     t = np.asarray(t, dtype=float)
-    bg0, dF = GreensEvaluator(data, t, tol).boundary_and_derivative()
+    bg0 = GreensEvaluator(data, t, tol).boundary(want_dF=True)
+    dF = bg0.dF
     N = data.total_width
     X0 = np.eye(N) - qfq_matrix(data, bg0)
     chi0 = hermitian_sqrt(X0)

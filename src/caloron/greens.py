@@ -124,27 +124,26 @@ class GreensEvaluator(monodromy.Propagator):
 
     # -- boundary matrices --------------------------------------------------
 
-    def boundary(self, want_G=False):
-        (F,), diag_defect = self._blocks("finv")
+    def boundary(self, want_G=False, want_dF=False):
+        """Blocks F(lambda_beta, lambda_alpha) at every pair of marked points,
+        from one sweep per marked point.
+
+        F comes from the finv flow; with want_dF, from the gradient flow
+        'dfinv' instead, whose walk carries (d_0 K, ..., d_3 K, K) from each
+        marked point: d_nu F is the value block of its state nu and F that of
+        state 4, so one sweep yields both.  G (want_G) comes from the ddagd
+        flow.
+        """
+        dF = None
+        if want_dF:
+            blocks, diag_defect = self._blocks("dfinv")
+            F, dF = blocks[4], blocks[:4]
+        else:
+            (F,), diag_defect = self._blocks("finv")
         G = None
         if want_G:
             (G,), defect = self._blocks("ddagd")
             diag_defect = max(diag_defect, defect)
-        return self._checked_boundary(F, G, diag_defect)
-
-    def boundary_and_derivative(self):
-        """The boundary F-blocks and their exact t-gradient, (4, n, n, k, k),
-        from one sweep of the gradient flow.
-
-        The walk of the gradient flow 'dfinv' carries (d_0 K, ..., d_3 K, K)
-        from each marked point and reads d_nu F(lambda_beta, lambda_alpha)
-        off the value block of its state nu, and F off that of state 4.
-        Returns (BoundaryGreens without G, dF).
-        """
-        blocks, diag_defect = self._blocks("dfinv")
-        return self._checked_boundary(blocks[4], None, diag_defect), blocks[:4]
-
-    def _checked_boundary(self, F, G, diag_defect):
         herm = _hermiticity_defect(F)
         scale = max(1.0, float(np.max(np.abs(F))))
         if herm > 1e-8 * scale:
@@ -152,12 +151,12 @@ class GreensEvaluator(monodromy.Propagator):
                 f"boundary Green's matrix lost hermiticity (defect {herm:.3e}); "
                 "tighten the integrator tolerance")
         return BoundaryGreens(t=tuple(float(x) for x in self.t), F=F, G=G,
-                              diag_defect=diag_defect, herm_defect=herm)
+                              diag_defect=diag_defect, herm_defect=herm, dF=dF)
 
     def _blocks(self, tag):
         """Kernel values at every pair of marked points, [c, beta, alpha]
         per companion state c the flow stacks (five for 'dfinv', else one),
-        with the worst diagonal defect of the sweeps."""
+        with the worst diagonal defect of the last state's sweeps."""
         columns, defects = zip(*(self._boundary_sweep(tag, alpha)
                                  for alpha in range(self.data.n)))
         return np.array(columns).transpose(2, 1, 0, 3, 4), max(defects)
@@ -169,7 +168,9 @@ class GreensEvaluator(monodromy.Propagator):
         stacked companion states at every marked point (the jump maps leave
         values unchanged).  The walk's return to the base point furnishes
         the left limit of the diagonal; it must agree with the right limit
-        from the loop solve.
+        from the loop solve, state by state at the state's own scale, so
+        that large d_nu F blocks cannot mask a defect of F.  Returns the
+        values and the defect of the last state (the kernel itself).
         """
         n, lam = self.data.n, self.data.lambdas
         m = 2 * self.data.k if tag == "ddagd" else self.data.k
@@ -181,28 +182,32 @@ class GreensEvaluator(monodromy.Propagator):
             vals[beta] = state.reshape(-1, 2 * m, m)[:, :m]
         final_val = vals[alpha]
         right = K.reshape(-1, 2 * m, m)[:, :m]
-        defect = float(np.max(np.abs(final_val - right)))
-        if defect > _DIAG_TOL * max(1.0, float(np.max(np.abs(right)))):
+        defects = np.max(np.abs(final_val - right), axis=(1, 2))
+        scales = np.maximum(1.0, np.max(np.abs(right), axis=(1, 2)))
+        if np.any(defects > _DIAG_TOL * scales):
+            worst = float(np.max(defects[defects > _DIAG_TOL * scales]))
             raise IntegrationError(
                 f"diagonal limits of the Green's function disagree at marked "
-                f"point {alpha} (defect {defect:.3e}); tighten the tolerance")
+                f"point {alpha} (defect {worst:.3e}); tighten the tolerance")
         vals[alpha] = 0.5 * (right + final_val)
-        return vals, defect
+        return vals, float(defects[-1])
 
 
 @dataclass(frozen=True)
 class BoundaryGreens:
     """Marked-point blocks of the Green's functions at one t.
 
-    F[beta, alpha] is k x k; G[beta, alpha] (if requested) is 2k x 2k.
-    diag_defect records the worst left/right diagonal disagreement,
-    herm_defect the block-hermiticity defect of F.
+    F[beta, alpha] is k x k; G[beta, alpha] (if requested) is 2k x 2k;
+    dF[nu, beta, alpha] (if requested) is the exact t_nu-derivative of F.
+    diag_defect records the worst left/right diagonal disagreement of F
+    and G, herm_defect the block-hermiticity defect of F.
     """
     t: tuple
     F: np.ndarray
     G: np.ndarray
     diag_defect: float
     herm_defect: float
+    dF: np.ndarray = None
 
 
 def _hermiticity_defect(blocks):

@@ -404,8 +404,8 @@ def flow_coefficient(data, t, i, tag):
     order) or 2d (second order, quadratic in T) for T of degree d, so it is
     built once, exactly, as a matrix-valued Chebyshev series: its values at
     as many Chebyshev points as it has terms, mapped back to coefficients.
-    An evaluation is then one basis-vector times coefficient-matrix product;
-    a degree-0 interval returns its one constant matrix.
+    An evaluation is then one basis-vector times coefficient-matrix product
+    (a degree-0 interval has a one-term series).
     """
     t = np.asarray(t, dtype=float)
     if t.shape != (4,):
@@ -423,10 +423,6 @@ def flow_coefficient(data, t, i, tag):
         dA0 = np.tensordot(V[:, :d], dc0, axes=1) * (2.0 / (b - a))
     with np.errstate(over="ignore", invalid="ignore"):
         M = _flow_matrices(tag, A, dA0)   # a non-finite M fails its transfer
-    if P == 1:
-        const = M[0]
-        const.setflags(write=False)
-        return lambda s: const
     # real and imaginary parts side by side, so that both products are real
     dim = M.shape[1]
     series = Vinv @ M.reshape(P, dim * dim).view(float)

@@ -371,7 +371,7 @@ def _df_integral(ev, nu, quad_tol, max_panels=64):
 
     with D_j = T_j + t_j and D_0 = i d/ds + T_0 + t_0, on composite
     Gauss-Legendre panels refined until the result moves less than
-    quad_tol; the cross-check of GreensEvaluator.boundary_and_derivative.
+    quad_tol; the cross-check of GreensEvaluator.boundary(want_dF=True).
     """
     data = ev.data
     n, k = data.n, data.k

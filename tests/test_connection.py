@@ -1,5 +1,7 @@
 """chi, its derivatives, the gauge potential and the curvature."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import sqrtm
@@ -78,7 +80,7 @@ def test_df_exact_vs_integral(cases):
     # the augmented walk against the quadrature of -2 int F D_nu F ds
     for data, t in cases:
         ev = greens.GreensEvaluator(data, t)
-        exact = ev.boundary_and_derivative()[1]
+        exact = ev.boundary(want_dF=True).dF
         for nu in range(4):
             quad = oracle._df_integral(ev, nu, quad_tol=1e-8)
             assert np.max(np.abs(exact[nu] - quad)) < 1e-9
@@ -89,7 +91,7 @@ def test_df_exact_vs_integral_on_polynomial_data(poly_case):
     # data; the finv operator is self-adjoint for any hermitian T
     data, t = poly_case
     ev = greens.GreensEvaluator(data, t)
-    exact = ev.boundary_and_derivative()[1]
+    exact = ev.boundary(want_dF=True).dF
     for nu in range(4):
         quad = oracle._df_integral(ev, nu, quad_tol=1e-9)
         assert np.max(np.abs(exact[nu] - quad)) < 1e-8
@@ -106,7 +108,7 @@ def test_potential_chi_matches_boundary_greens(cases, poly_case):
 def test_df_block_hermiticity(reference):
     # dF inherits F's block hermiticity: dF[b,a] = dF[a,b]^dag
     ev = greens.GreensEvaluator(reference, T_REF)
-    for d in ev.boundary_and_derivative()[1]:
+    for d in ev.boundary(want_dF=True).dF:
         for b in range(2):
             for a in range(2):
                 assert np.allclose(d[b, a], d[a, b].conj().T, atol=1e-12)
@@ -128,10 +130,12 @@ def test_gauge_potential_structure(reference):
 
 def test_gauge_potential_integral_method_agrees(cases, monkeypatch):
     exact = [con.gauge_potential(data, t).A for data, t in cases]
-    monkeypatch.setattr(greens.GreensEvaluator, "boundary_and_derivative",
-                        lambda ev: (ev.boundary(),
-                                    np.stack([oracle._df_integral(ev, nu, 1e-8)
-                                              for nu in range(4)])))
+    boundary = greens.GreensEvaluator.boundary
+    monkeypatch.setattr(
+        greens.GreensEvaluator, "boundary",
+        lambda ev, want_dF=False: dataclasses.replace(
+            boundary(ev), dF=np.stack([oracle._df_integral(ev, nu, 1e-8)
+                                       for nu in range(4)])))
     for (data, t), A in zip(cases, exact):
         quad = con.gauge_potential(data, t).A
         assert np.max(np.abs(A - quad)) < 1e-9

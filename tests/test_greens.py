@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from caloron import greens, monodromy, nahm, oracle
-from caloron.errors import IrregularPointError
+from caloron.errors import IntegrationError, IrregularPointError
 
 TWO_PI = 2.0 * np.pi
 
@@ -108,6 +108,37 @@ def test_boundary_defects_small(reference):
     for b in range(2):
         for a in range(2):
             assert np.allclose(bg.F[b, a], bg.F[a, b].conj().T, atol=1e-9)
+
+
+@pytest.mark.parametrize("skew", [0.0, 1e-6])
+def test_diagonal_check_on_F_ignores_the_scale_of_dF(reference, skew):
+    # d_nu F states blown up by 1e6 beside F: a 1e-6 defect of F's diagonal
+    # limits must still fail the check, which a single scale over all five
+    # stacked states would let through
+    ev = greens.GreensEvaluator(reference, np.array([0.25, 0.15, -0.2, 0.3]))
+    m = 2 * reference.k
+    K = ev.loop_solution("dfinv", 0)
+    weight = np.ones((5, 1, 1))
+    weight[:4] = 1e6
+    assert 1e6 * np.max(np.abs(K[:4 * m])) > 1e4 * np.max(np.abs(K[4 * m:]))
+
+    def big(state):
+        return (state.reshape(5, m, -1) * weight).reshape(state.shape)
+
+    walk = ev.walk
+
+    def skewed_walk(tag, y, stops, state):
+        states = [big(s) for s in walk(tag, y, stops, K)]
+        states[-1][4 * m, 0] += skew        # F's value on the return
+        return states
+
+    ev._loop_solutions[("dfinv", 0)] = big(K)
+    ev.walk = skewed_walk
+    if skew:
+        with pytest.raises(IntegrationError, match="diagonal limits"):
+            ev._boundary_sweep("dfinv", 0)
+    else:
+        assert ev._boundary_sweep("dfinv", 0)[1] < 1e-9
 
 
 def test_interior_hermiticity(reference):
