@@ -27,7 +27,7 @@ from . import connection, greens, monodromy, nahm, oracle
 from .errors import (CaloronError, ConfigError, IntegrationError,
                      IrregularPointError, PositivityError)
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -180,13 +180,13 @@ def cmd_connection(args):
 
 
 def _scan_row_full(payload):
-    """Worker: residual, orientation and action density at one grid point."""
-    cfg, tvals, h, tol = payload
-    data = nahm.from_dict(cfg)
+    """Worker: residual, orientation and action density at one grid point;
+    payload is (NahmData, point, ODE tolerance)."""
+    data, tvals, tol = payload
     t = np.array(tvals)
     row = {"t0": tvals[0], "t1": tvals[1], "t2": tvals[2], "t3": tvals[3]}
     try:
-        curv = connection.curvature(data, t, h=h, tol=tol)
+        curv = connection.curvature(data, t, tol=tol)
         rep = connection.selfdual_residual(data, t, curv=curv)
         row.update(residual=rep.residual, orientation=rep.orientation,
                    action_density=curv.action_density(), status="ok")
@@ -201,11 +201,10 @@ def _scan_row_full(payload):
 
 def cmd_selfdual_scan(args):
     data = _load_config(args)
-    cfg = nahm.to_dict(data)
     axes = _parse_grid(args.grid)
     points = [(float(a), float(b), float(c), float(d))
               for a in axes[0] for b in axes[1] for c in axes[2] for d in axes[3]]
-    payloads = [(cfg, p, args.curvature_h, args.ode_tol) for p in points]
+    payloads = [(data, p, args.ode_tol) for p in points]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_scan_row_full, payloads))
@@ -227,7 +226,6 @@ def cmd_selfdual_scan(args):
     else:
         doc = {
             "schema_version": SCHEMA_VERSION,
-            "curvature_h": args.curvature_h,
             "ode_tol": args.ode_tol,
             "rows": rows,
         }
@@ -298,8 +296,6 @@ def build_parser():
     sp.add_argument("--config", required=True)
     sp.add_argument("--grid", required=True,
                     help="'t0=a:b:n,t1=...,...'; fixed axes as 't2=v'")
-    sp.add_argument("--curvature-h", type=float, default=1e-3,
-                    help="curvature finite-difference step (default 1e-3)")
     sp.add_argument("--ode-tol", type=float, default=1e-10)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--jobs", type=int, default=1,

@@ -6,25 +6,37 @@ With the N x N boundary matrices at a point t (N = total Q width),
 
 the gauge potential in the hermitian trivialization is
 
-    A_mu = -(1/4) sum_nu chi^{-1} S(nu, mu) chi^{-1}
+    A_mu = -(1/4) chi^{-1} T_mu chi^{-1}
            + (1/2) (chi^{-1} dchi_mu - dchi_mu chi^{-1}),
+    T_mu = sum_nu S(nu, mu),
 
 where S(nu, mu) sandwiches the t_nu-derivative of the boundary F-blocks
 with the spin bracket: blocks Q_beta^dag (e_bracket(nu,mu) (x)
-d_nu F[beta,alpha]) Q_alpha.  A_mu is anti-hermitian up to the
-block-hermiticity defect of d_nu F, which antiherm_defect reports.
+d_nu F[beta,alpha]) Q_alpha; the bracket vanishes at nu = mu.  A_mu is
+anti-hermitian up to the block-hermiticity defect of d_nu F, which
+antiherm_defect reports.
 
-The t-derivatives of the F-blocks are exact: the coefficients of the
-second-order flow are affine or quadratic in t, so d_nu of every transfer
-is block (nu, 4) of the transfer of the gradient flow, M on five diagonal
-blocks and d_nu M in block (nu, 4), which the circle walk carries like any
-other flow: all four directions advance together.  The same walk carries
-the finv transfer on its diagonal, so one sweep of the gradient flow gives
-F and d_nu F; gauge_potential integrates no other flow.  The derivative of chi
-follows from the square-root equation chi dchi + dchi chi = -d(QFQ)
-(Sylvester, solved by eigendecomposition).  Curvature components take
-central differences of step h of gauge_potential and are exactly
-antisymmetric in (mu, nu) by assembly.
+Every t-derivative is exact.  The coefficients of the second-order flow
+are affine or quadratic in t, so the t-jet of every transfer is the last
+block column of the transfer of a Van Loan jet flow, which the circle walk
+carries like any other flow (nahm.flow_coefficient): one sweep of 'dfinv'
+gives F and d_nu F for the potential, one sweep of 'ddfinv' adds
+d_rho d_nu F for the curvature.  Every spin sandwich of a jet is a
+contraction of one stacked boundary_sandwich.  The derivatives of chi
+follow from the square-root equation, chi dchi + dchi chi = -Q^dag dF Q,
+and its t-derivative,
+
+    chi d_rho d_mu chi + d_rho d_mu chi chi
+        = -Q^dag d_rho d_mu F Q - d_rho chi d_mu chi - d_mu chi d_rho chi,
+
+Sylvester equations solved on the one eigendecomposition of chi.  With
+d_rho chi^{-1} = -chi^{-1} d_rho chi chi^{-1} the curvature
+
+    F_{mu nu} = d_mu A_nu - d_nu A_mu + [A_mu, A_nu]
+
+is then closed form, exactly antisymmetric in (mu, nu) by assembly.
+oracle.fd_curvature takes central differences of A instead, as the
+cross-check.
 """
 
 from dataclasses import dataclass
@@ -32,12 +44,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PositivityError
-from .greens import GreensEvaluator, boundary_sandwich, qfq_matrix
+from .greens import (GreensEvaluator, boundary_sandwich, identity_sandwich,
+                     qfq_matrix)
 from .spin import BRACKET
 
 _PSD_FLOOR = 1e-12
 
-_UNIT = np.eye(4)
+# BRACKET[nu][mu] as one (nu, mu, 2, 2) array, contracted with the spin
+# units of boundary_sandwich
+_BRACKETS = np.array(BRACKET)
+
+
+def _positive_eigh(M):
+    """Eigenvalues and eigenvectors of the hermitian part of M.
+
+    Raises PositivityError if the smallest eigenvalue is not positive
+    (reporting it).
+    """
+    w, U = np.linalg.eigh(0.5 * (M + M.conj().T))
+    if w.min() < _PSD_FLOOR:
+        raise PositivityError(
+            f"matrix is not positive definite (min eigenvalue {w.min():.3e})",
+            min_eigenvalue=float(w.min()))
+    return w, U
 
 
 def hermitian_sqrt(M):
@@ -46,12 +75,7 @@ def hermitian_sqrt(M):
     Raises PositivityError if the smallest eigenvalue is not positive
     (reporting it); symmetrizes roundoff before decomposing.
     """
-    Mh = 0.5 * (M + M.conj().T)
-    w, U = np.linalg.eigh(Mh)
-    if w.min() < _PSD_FLOOR:
-        raise PositivityError(
-            f"matrix is not positive definite (min eigenvalue {w.min():.3e})",
-            min_eigenvalue=float(w.min()))
+    w, U = _positive_eigh(M)
     return (U * np.sqrt(w)) @ U.conj().T
 
 
@@ -61,12 +85,43 @@ def chi_from_boundary(data, bg):
     return hermitian_sqrt(np.eye(N) - qfq_matrix(data, bg))
 
 
-def _sylvester_dchi(chi0, R):
-    """Solve chi0 X + X chi0 = R for hermitian chi0 > 0 (X hermitian)."""
-    w, U = np.linalg.eigh(chi0)
-    Rt = U.conj().T @ R @ U
-    X = Rt / (w[:, None] + w[None, :])
-    return U @ X @ U.conj().T
+def _sylvester(w, U, R):
+    """Solve chi X + X chi = R for chi = U diag(w) U^dag > 0, R (..., N, N)."""
+    Uh = U.conj().T
+    return U @ ((Uh @ R @ U) / (w[:, None] + w[None, :])) @ Uh
+
+
+def _connection(data, bg):
+    """A_mu, chi and the eigenvalues of chi^2 from the boundary jet bg, and
+    with bg.ddF also d_rho A_mu, (rho, mu, N, N) (else None).
+
+    F, d_nu F and d_rho d_nu F are sandwiched in one stacked product.
+    """
+    shape = bg.F.shape
+    jet = [bg.F[None], bg.dF]
+    if bg.ddF is not None:
+        jet.append(bg.ddF.reshape((16,) + shape))
+    Z = boundary_sandwich(data, np.concatenate(jet))
+    w, U = _positive_eigh(np.eye(Z.shape[-1]) - identity_sandwich(Z[0]))
+    r = np.sqrt(w)                       # the eigenvalues of chi
+    Uh = U.conj().T
+    chi, ci = (U * r) @ Uh, (U / r) @ Uh
+    # d_mu chi solves chi X + X chi = -Q^dag d_mu F Q; T_mu = sum_nu S(nu, mu)
+    dZ = Z[1:5]
+    dchi = _sylvester(r, U, -identity_sandwich(dZ))
+    T = np.einsum("nmst,nstxy->mxy", _BRACKETS, dZ)
+    A = -0.25 * (ci @ T @ ci) + 0.5 * (ci @ dchi - dchi @ ci)
+    if bg.ddF is None:
+        return A, chi, w, None
+    # the rho-derivatives of chi^{-1}, of the Sylvester equation and of T_mu
+    ddZ = Z[5:].reshape((4, 4) + Z.shape[1:])
+    dci = (-ci @ dchi @ ci)[:, None]     # d_rho chi^{-1}, broadcast over mu
+    ddchi = _sylvester(r, U, -identity_sandwich(ddZ) - dchi[:, None] @ dchi
+                       - dchi @ dchi[:, None])
+    dT = np.einsum("nmst,rnstxy->rmxy", _BRACKETS, ddZ)
+    dA = (-0.25 * (dci @ T @ ci + ci @ dT @ ci + ci @ T @ dci)
+          + 0.5 * (dci @ dchi + ci @ ddchi - ddchi @ ci - dchi @ dci))
+    return A, chi, w, dA
 
 
 @dataclass(frozen=True)
@@ -88,38 +143,18 @@ def gauge_potential(data, t, tol=1e-10):
     IrregularPointError from the checked loop solve.
     """
     t = np.asarray(t, dtype=float)
-    bg0 = GreensEvaluator(data, t, tol).boundary(want_dF=True)
-    dF = bg0.dF
-    N = data.total_width
-    X0 = np.eye(N) - qfq_matrix(data, bg0)
-    chi0 = hermitian_sqrt(X0)
-    w0 = np.linalg.eigvalsh(0.5 * (X0 + X0.conj().T))
-    chi_inv = np.linalg.inv(chi0)
-
-    A = np.zeros((4, N, N), dtype=complex)
-    for mu in range(4):
-        term = np.zeros((N, N), dtype=complex)
-        for nu in range(4):
-            if nu == mu:
-                continue
-            S = boundary_sandwich(data, dF[nu], BRACKET[nu][mu])
-            term += S
-        dchi = _sylvester_dchi(chi0, -boundary_sandwich(data, dF[mu]))
-        A[mu] = (-0.25 * (chi_inv @ term @ chi_inv)
-                 + 0.5 * (chi_inv @ dchi - dchi @ chi_inv))
-
-    defect = float(max(np.max(np.abs(A[mu] + A[mu].conj().T))
-                       for mu in range(4)))
-    return GaugePotential(t=tuple(float(x) for x in t), A=A, chi=chi0,
-                          chi_min_eigenvalue=float(w0.min()),
-                          antiherm_defect=defect)
+    bg = GreensEvaluator(data, t, tol).boundary(want_dF=True)
+    A, chi, w, _ = _connection(data, bg)
+    return GaugePotential(t=tuple(float(x) for x in t), A=A, chi=chi,
+                          chi_min_eigenvalue=float(w.min()),
+                          antiherm_defect=float(np.max(np.abs(
+                              A + A.conj().swapaxes(-1, -2)))))
 
 
 @dataclass(frozen=True)
 class Curvature:
     """Field strength F[mu, nu] (antisymmetric in mu, nu by assembly)."""
     t: tuple
-    h: float
     F: np.ndarray                # (4, 4, N, N)
 
     def action_density(self):
@@ -128,25 +163,20 @@ class Curvature:
                                for mu in range(4) for nu in range(4)))
 
 
-def curvature(data, t, h=1e-3, tol=1e-10):
-    """Curvature F_{mu nu} = d_mu A_nu - d_nu A_mu + [A_mu, A_nu] at t,
-    with the outer derivatives by central differences of step h."""
+def field_strength(A, dA):
+    """F_{mu nu} = d_mu A_nu - d_nu A_mu + [A_mu, A_nu] from A, (4, N, N),
+    and dA[rho, mu] = d_rho A_mu; exactly antisymmetric."""
+    AA = A[:, None] @ A
+    return (dA - dA.swapaxes(0, 1)) + (AA - AA.swapaxes(0, 1))
+
+
+def curvature(data, t, tol=1e-10):
+    """Curvature F_{mu nu} = d_mu A_nu - d_nu A_mu + [A_mu, A_nu] at t, in
+    closed form from one sweep of the second-order jet flow 'ddfinv'."""
     t = np.asarray(t, dtype=float)
-    A0 = gauge_potential(data, t, tol=tol).A
-    dA = np.empty((4,) + A0.shape, dtype=complex)
-    for mu in range(4):
-        Ap = gauge_potential(data, t + h * _UNIT[mu], tol=tol).A
-        Am = gauge_potential(data, t - h * _UNIT[mu], tol=tol).A
-        dA[mu] = (Ap - Am) / (2.0 * h)
-    N = A0.shape[1]
-    F = np.zeros((4, 4, N, N), dtype=complex)
-    for mu in range(4):
-        for nu in range(mu + 1, 4):
-            Fmn = (dA[mu][nu] - dA[nu][mu]
-                   + A0[mu] @ A0[nu] - A0[nu] @ A0[mu])
-            F[mu, nu] = Fmn
-            F[nu, mu] = -Fmn
-    return Curvature(t=tuple(float(x) for x in t), h=float(h), F=F)
+    bg = GreensEvaluator(data, t, tol).boundary(want_ddF=True)
+    A, _, _, dA = _connection(data, bg)
+    return Curvature(t=tuple(float(x) for x in t), F=field_strength(A, dA))
 
 
 @dataclass(frozen=True)
@@ -156,7 +186,7 @@ class SelfDualReport:
     norm_total: float
 
 
-def selfdual_residual(data, t, h=1e-3, tol=1e-10, curv=None):
+def selfdual_residual(data, t, tol=1e-10, curv=None):
     """Normalized deviation of the curvature from (anti-)self-duality.
 
     residual = min over eps in {+1, -1} of
@@ -166,7 +196,7 @@ def selfdual_residual(data, t, h=1e-3, tol=1e-10, curv=None):
     (0, +1).
     """
     if curv is None:
-        curv = curvature(data, t, h=h, tol=tol)
+        curv = curvature(data, t, tol=tol)
     F = curv.F
 
     def nrm(M):

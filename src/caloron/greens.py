@@ -29,10 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import monodromy
+from . import monodromy, nahm
 from .errors import IntegrationError, IrregularPointError
 from .nahm import TWO_PI, marked_index
-from .spin import kron_spin
 
 _COND_LIMIT = 1e12
 _DIAG_TOL = 1e-8
@@ -62,23 +61,38 @@ class GreensEvaluator(monodromy.Propagator):
     def loop_solution(self, tag, alpha):
         """(iota - id)^{-1} pi_1: source columns of the based loop, (2m, m).
 
-        For the gradient flow 'dfinv', whose loop carries the finv loop iota
-        on the diagonal and d_nu iota in block (nu, 4), the stacked
-        (d_0 K, ..., d_3 K, K): K from the diagonal block, then by block
-        back-substitution d_nu K = -(iota - id)^{-1} d_nu iota K, one
-        checked solve with the four right-hand sides side by side.
+        For a jet flow ('dfinv', 'ddfinv'), whose loop carries the finv loop
+        iota on the diagonal and every d_s iota in its last block column,
+        the stacked d_s K in the state order of nahm.jet_states: K from the
+        diagonal block, then by block back-substitution through the same
+        checked inverse, order by order,
+
+            d_s K = -(iota - id)^{-1} sum_a d_a iota d_{s - a} K
+
+        over nahm.leibniz_splits(s), e.g. d_nu K = -(iota - id)^{-1}
+        d_nu iota K; one solve per order, its right-hand sides side by side,
+        with the matrix whose condition the solve for K checked.
         """
         key = (tag, alpha)
         if key not in self._loop_solutions:
             where = f"{tag} loop at marked point {alpha}"
             M = self.loop(tag, self.data.lambdas[alpha])
-            if tag == "dfinv":
+            if tag in nahm.JET:
+                order = nahm.JET[tag]
+                states = nahm.jet_states(order)
                 m = 2 * self.data.k
-                iota, d_iota = M[4 * m:, 4 * m:], M[:4 * m, 4 * m:]
-                K = self._source_solve(iota, where)
-                dK = self._checked_inverse_apply(
-                    iota, np.hstack(np.split(-d_iota @ K, 4)), where)
-                self._loop_solutions[key] = np.vstack(np.hsplit(dK, 4) + [K])
+                d_iota = dict(zip(states, M[:, -m:].reshape(-1, m, m)))
+                iota = d_iota[()]
+                K = {(): self._source_solve(iota, where)}
+                for r in range(1, order + 1):
+                    group = [s for s in states if len(s) == r]
+                    rhs = np.stack([-sum(d_iota[a] @ K[rest]
+                                         for a, rest in nahm.leibniz_splits(s))
+                                    for s in group], axis=1)
+                    dK = np.linalg.solve(iota - np.eye(m),
+                                         rhs.reshape(m, -1))
+                    K.update(zip(group, dK.reshape(rhs.shape).swapaxes(0, 1)))
+                self._loop_solutions[key] = np.concatenate([K[s] for s in states])
             else:
                 self._loop_solutions[key] = self._source_solve(M, where)
         return self._loop_solutions[key]
@@ -124,22 +138,27 @@ class GreensEvaluator(monodromy.Propagator):
 
     # -- boundary matrices --------------------------------------------------
 
-    def boundary(self, want_G=False, want_dF=False):
+    def boundary(self, want_G=False, want_dF=False, want_ddF=False):
         """Blocks F(lambda_beta, lambda_alpha) at every pair of marked points,
         from one sweep per marked point.
 
         F comes from the finv flow; with want_dF, from the gradient flow
         'dfinv' instead, whose walk carries (d_0 K, ..., d_3 K, K) from each
         marked point: d_nu F is the value block of its state nu and F that of
-        state 4, so one sweep yields both.  G (want_G) comes from the ddagd
-        flow.
+        state 4, so one sweep yields both.  With want_ddF the second-order
+        jet 'ddfinv' carries d_mu d_nu K as well, so that one sweep yields
+        F, d_nu F and d_mu d_nu F.  G (want_G) comes from the ddagd flow.
         """
-        dF = None
-        if want_dF:
-            blocks, diag_defect = self._blocks("dfinv")
-            F, dF = blocks[4], blocks[:4]
-        else:
-            (F,), diag_defect = self._blocks("finv")
+        dF = ddF = None
+        tag = "ddfinv" if want_ddF else "dfinv" if want_dF else "finv"
+        blocks, diag_defect = self._blocks(tag)
+        F = blocks[-1]
+        if tag in nahm.JET:
+            jet = dict(zip(nahm.jet_states(nahm.JET[tag]), blocks))
+            dF = np.stack([jet[(nu,)] for nu in range(4)])
+            if want_ddF:
+                ddF = np.stack([[jet[tuple(sorted((rho, nu)))]
+                                 for nu in range(4)] for rho in range(4)])
         G = None
         if want_G:
             (G,), defect = self._blocks("ddagd")
@@ -151,12 +170,14 @@ class GreensEvaluator(monodromy.Propagator):
                 f"boundary Green's matrix lost hermiticity (defect {herm:.3e}); "
                 "tighten the integrator tolerance")
         return BoundaryGreens(t=tuple(float(x) for x in self.t), F=F, G=G,
-                              diag_defect=diag_defect, herm_defect=herm, dF=dF)
+                              diag_defect=diag_defect, herm_defect=herm, dF=dF,
+                              ddF=ddF)
 
     def _blocks(self, tag):
         """Kernel values at every pair of marked points, [c, beta, alpha]
-        per companion state c the flow stacks (five for 'dfinv', else one),
-        with the worst diagonal defect of the last state's sweeps."""
+        per companion state c the flow stacks (five for 'dfinv', 15 for
+        'ddfinv', else one), with the worst diagonal defect of the last
+        state's sweeps."""
         columns, defects = zip(*(self._boundary_sweep(tag, alpha)
                                  for alpha in range(self.data.n)))
         return np.array(columns).transpose(2, 1, 0, 3, 4), max(defects)
@@ -198,7 +219,8 @@ class BoundaryGreens:
     """Marked-point blocks of the Green's functions at one t.
 
     F[beta, alpha] is k x k; G[beta, alpha] (if requested) is 2k x 2k;
-    dF[nu, beta, alpha] (if requested) is the exact t_nu-derivative of F.
+    dF[nu, beta, alpha] (if requested) is the exact t_nu-derivative of F,
+    ddF[rho, nu, beta, alpha] (if requested) the exact d_rho d_nu F.
     diag_defect records the worst left/right diagonal disagreement of F
     and G, herm_defect the block-hermiticity defect of F.
     """
@@ -208,16 +230,12 @@ class BoundaryGreens:
     diag_defect: float
     herm_defect: float
     dF: np.ndarray = None
+    ddF: np.ndarray = None
 
 
 def _hermiticity_defect(blocks):
-    n = blocks.shape[0]
-    worst = 0.0
-    for b in range(n):
-        for a in range(n):
-            worst = max(worst, float(np.max(np.abs(
-                blocks[b, a].conj().T - blocks[a, b]))))
-    return worst
+    """max over (beta, alpha) of |blocks[beta, alpha]^dag - blocks[alpha, beta]|."""
+    return float(np.max(np.abs(blocks.conj().transpose(1, 0, 3, 2) - blocks)))
 
 
 def block_offsets(data):
@@ -230,30 +248,42 @@ def block_offsets(data):
     return offs, pos
 
 
-def boundary_sandwich(data, blocks, spin_matrix=None):
-    """N x N matrix with (beta, alpha) block Q_beta^dag (S (x) blocks[b,a]) Q_alpha.
-
-    blocks has shape (n, n, k, k); spin_matrix S defaults to id2.  Blocks
-    of shape (n, n, 2k, 2k) already act on C^2 (x) C^k and are sandwiched
-    as they stand.
-    """
-    lift = blocks.shape[-1] == data.k
-    S = np.eye(2, dtype=complex) if spin_matrix is None else spin_matrix
+def _spin_rows(data):
+    """Q by spin row, (2, n k, N): Q_alpha's rows s k .. s k + k - 1 at rows
+    alpha k .. alpha k + k - 1 of sheet s and at alpha's columns."""
+    k = data.k
     offs, N = block_offsets(data)
-    out = np.zeros((N, N), dtype=complex)
-    for b in range(data.n):
-        qb = data.Q[b]
-        for a in range(data.n):
-            qa = data.Q[a]
-            blk = kron_spin(S, blocks[b, a]) if lift else blocks[b, a]
-            out[offs[b]:offs[b] + qb.shape[1],
-                offs[a]:offs[a] + qa.shape[1]] = qb.conj().T @ blk @ qa
+    out = np.zeros((2, data.n * k, N), dtype=complex)
+    for alpha, q in enumerate(data.Q):
+        out[:, alpha * k:(alpha + 1) * k,
+            offs[alpha]:offs[alpha] + q.shape[1]] = q.reshape(2, k, -1)
     return out
+
+
+def boundary_sandwich(data, blocks):
+    """Spin-resolved sandwiches of a whole stack of block sets, (..., 2, 2, N, N).
+
+    blocks has shape (..., n, n, k, k); Z[..., s, t] is the N x N matrix
+    with (beta, alpha) block Q_beta^dag (e_st (x) blocks[..., beta, alpha])
+    Q_alpha for the spin matrix unit e_st, so that the sandwich with any
+    spin matrix S is the contraction sum_st S[s, t] Z[..., s, t]; one
+    stacked product for every block set and spin unit.
+    """
+    nk = data.n * data.k
+    B = np.swapaxes(blocks, -3, -2).reshape(blocks.shape[:-4] + (nk, nk))
+    Qs = _spin_rows(data)
+    return Qs.conj().swapaxes(-1, -2)[:, None] @ B[..., None, None, :, :] @ Qs
+
+
+def identity_sandwich(Z):
+    """The sandwich with the spin identity, sum_s Z[..., s, s], from
+    boundary_sandwich output."""
+    return Z[..., 0, 0, :, :] + Z[..., 1, 1, :, :]
 
 
 def qfq_matrix(data, bg):
     """The N x N matrix with blocks Q_beta^dag (id2 (x) F[beta,alpha]) Q_alpha."""
-    return boundary_sandwich(data, bg.F)
+    return identity_sandwich(boundary_sandwich(data, bg.F))
 
 
 def qgq_matrix(data, bg):
@@ -261,7 +291,11 @@ def qgq_matrix(data, bg):
     if bg.G is None:
         raise ValueError("boundary data was built without G blocks "
                          "(pass want_G=True)")
-    return boundary_sandwich(data, bg.G)
+    n, k = data.n, data.k
+    Q = _spin_rows(data).reshape(2, n, k, -1).transpose(1, 0, 2, 3)
+    Q = Q.reshape(2 * n * k, -1)             # block diagonal of the Q_alpha
+    G = np.swapaxes(bg.G, 1, 2).reshape(2 * n * k, 2 * n * k)
+    return Q.conj().T @ G @ Q
 
 
 # -- convenience wrappers ---------------------------------------------------

@@ -32,6 +32,7 @@ applied once, at the end.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -180,15 +181,15 @@ def second_order_coefficient(data, t, s, operator_tag="finv", side="right"):
     return nahm.flow_coefficient(data, t, i, operator_tag)(su)
 
 
-# 'dfinv': the finv flow augmented by its t-gradient, on the state
-# (d_0 Y, d_1 Y, d_2 Y, d_3 Y, Y); see nahm.flow_coefficient
-_SECOND_ORDER_TAGS = ("finv", "ddagd", "dfinv")
+# 'dfinv' and 'ddfinv': the finv flow augmented by its first, and by its
+# first and second, t-derivatives (nahm.JET); see nahm.flow_coefficient
+_SECOND_ORDER_TAGS = ("finv", "ddagd") + tuple(nahm.JET)
 
 
 def _check_tag(operator_tag):
     if operator_tag not in _SECOND_ORDER_TAGS:
         raise ValueError(
-            "operator_tag must be 'finv', 'ddagd' or 'dfinv', "
+            "operator_tag must be 'finv', 'ddagd', 'dfinv' or 'ddfinv', "
             f"got {operator_tag!r}")
 
 
@@ -196,12 +197,13 @@ def second_order_jump(data, t, alpha, operator_tag="finv"):
     """Marked-point jump map [[id, 0], [J, id]] on the companion state.
 
     J is t-independent: crossing lambda_alpha, the derivative of a kernel
-    element jumps by J times its (continuous) value.  The gradient flow
-    'dfinv' jumps by kron(id5, the finv jump) on its five stacked states.
+    element jumps by J times its (continuous) value.  A jet flow ('dfinv',
+    'ddfinv') jumps by kron(id, the finv jump) on its stacked states.
     """
     _check_tag(operator_tag)
-    if operator_tag == "dfinv":
-        return np.kron(np.eye(5), second_order_jump(data, t, alpha, "finv"))
+    if operator_tag in nahm.JET:
+        states = len(nahm.jet_states(nahm.JET[operator_tag]))
+        return np.kron(np.eye(states), second_order_jump(data, t, alpha, "finv"))
     dT0 = nahm.jump_T(data, alpha, 0)
     parts = q_spin_parts(data, alpha)
     if operator_tag == "finv":
@@ -226,34 +228,43 @@ def _interval_transfer(data, i, coeff, s0, s1, tol):
     return transfer(coeff, s0, s1, tol, constant=data.intervals[i].degree == 0)
 
 
-def _closed_transfers(data, t, tag, tol):
-    return [_interval_transfer(data, i, nahm.flow_coefficient(data, t, i, tag),
+def _closed_transfers(data, t, tag, tol, coefficient):
+    coefficient = coefficient or partial(nahm.flow_coefficient, data, t, tag=tag)
+    return [_interval_transfer(data, i, coefficient(i),
                                *data.interval_bounds(i), tol)
             for i in range(data.n)]
 
 
-def interval_transfers_first_order(data, t, which="ddag", tol=1e-10):
-    """Transfer matrices over each closed interval [lambda_i, lambda_{i+1}]."""
+def interval_transfers_first_order(data, t, which="ddag", tol=1e-10,
+                                   coefficient=None):
+    """Transfer matrices over each closed interval [lambda_i, lambda_{i+1}].
+
+    coefficient(i), if given, supplies the flow coefficient of interval i
+    (a Propagator passes its cache); by default it is built here.
+    """
     if which not in ("ddag", "d"):
         raise ValueError(f"which must be 'ddag' or 'd', got {which!r}")
-    return _closed_transfers(data, t, which, tol)
+    return _closed_transfers(data, t, which, tol, coefficient)
 
 
-def interval_transfers_second_order(data, t, operator_tag="finv", tol=1e-10):
-    """Companion-system transfers over each closed interval."""
+def interval_transfers_second_order(data, t, operator_tag="finv", tol=1e-10,
+                                    coefficient=None):
+    """Companion-system transfers over each closed interval; coefficient as
+    for interval_transfers_first_order."""
     _check_tag(operator_tag)
-    return _closed_transfers(data, t, operator_tag, tol)
+    return _closed_transfers(data, t, operator_tag, tol, coefficient)
 
 
 class Propagator:
     """The kernel flows at one (data, t): cached transfers and the circle walk.
 
-    Caches per flow tag ('ddag', 'd', 'finv', 'ddagd', 'dfinv') the interval
-    transfers and the jump maps, per (tag, interval) the flow coefficient,
-    and per (tag, interval, s0, s1) the transfer of every partial span,
-    kept in the interval's own coordinate,
-    so that walks from different base points share the spans they have in
-    common.  tol is the DP45 tolerance of the degree>0 intervals.
+    Caches per flow tag ('ddag', 'd', 'finv', 'ddagd', 'dfinv', 'ddfinv')
+    the interval transfers and the jump maps, per (tag, interval) the flow
+    coefficient, which the closed and the partial spans of an interval
+    share, and per (tag, interval, s0, s1) the transfer of every partial
+    span, kept in the interval's own coordinate, so that walks from
+    different base points share the spans they have in common.  tol is the
+    DP45 tolerance of the degree>0 intervals.
     """
 
     def __init__(self, data, t, tol=1e-10):
@@ -268,12 +279,10 @@ class Propagator:
     def interval_transfers(self, tag):
         """Transfers of flow `tag` over each closed interval."""
         if tag not in self._transfers:
-            if tag in ("ddag", "d"):
-                self._transfers[tag] = interval_transfers_first_order(
-                    self.data, self.t, which=tag, tol=self.tol)
-            else:
-                self._transfers[tag] = interval_transfers_second_order(
-                    self.data, self.t, operator_tag=tag, tol=self.tol)
+            build = (interval_transfers_first_order if tag in ("ddag", "d")
+                     else interval_transfers_second_order)
+            self._transfers[tag] = build(self.data, self.t, tag, self.tol,
+                                         partial(self._coefficient, tag))
         return self._transfers[tag]
 
     def jumps(self, tag):

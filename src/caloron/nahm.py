@@ -34,6 +34,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -358,6 +359,52 @@ def _cheb_basis(P):
     return V, Vinv
 
 
+# the t-jet flows of finv and their orders: 'dfinv' carries the gradient,
+# 'ddfinv' the gradient and the second derivatives as well
+JET = {"dfinv": 1, "ddfinv": 2}
+
+
+@lru_cache(maxsize=None)
+def jet_states(order):
+    """Multi-indices of a t-jet of the given order, in state order: the
+    second derivatives (mu, nu) with mu <= nu, then the first (nu,), then ()
+    for the flow itself."""
+    return tuple(s for r in range(order, -1, -1)
+                 for s in combinations_with_replacement(range(4), r))
+
+
+@lru_cache(maxsize=None)
+def leibniz_splits(s):
+    """The non-empty sub-multi-indices a of s with their rests, one per
+    choice of positions, so that d_s (X Y) = X d_s Y + sum d_a X d_rest Y."""
+    return tuple((tuple(s[i] for i in pick),
+                  tuple(s[i] for i in range(len(s)) if i not in pick))
+                 for r in range(1, len(s) + 1)
+                 for pick in combinations(range(len(s)), r))
+
+
+def _jet(M, dM, ddM, order):
+    """Van Loan matrix of the t-jet of Y' = M Y, (P, S m, S m) for S states.
+
+    The state of jet_states(order) with index s obeys the Leibniz rule
+    (d_s Y)' = M d_s Y + sum over leibniz_splits(s) of d_a M d_rest Y; dM
+    holds d_nu M, (4, P, m, m), and ddM the only non-zero second
+    derivative d_mu d_mu M, the same for every mu.
+    """
+    states = jet_states(order)
+    pos = {s: c for c, s in enumerate(states)}
+    m = M.shape[-1]
+    out = np.kron(np.eye(len(states)), M)
+    for c, s in enumerate(states):
+        for a, rest in leibniz_splits(s):
+            if len(a) == 2 and a[0] != a[1]:
+                continue
+            col = pos[rest]
+            out[:, c * m:(c + 1) * m, col * m:(col + 1) * m] += (
+                dM[a[0]] if len(a) == 1 else ddM)
+    return out
+
+
 def _flow_matrices(tag, A, dA0):
     """Flow matrices of `tag` at a stack of points, (P, dim, dim).
 
@@ -377,13 +424,15 @@ def _flow_matrices(tag, A, dA0):
     M[:, :m, m:] = np.eye(m)
     M[:, m:, :m] = C
     M[:, m:, m:] = B2
-    if tag != "dfinv":
+    if tag not in JET:
         return M
-    out = np.kron(np.eye(5), M)
-    for nu in range(4):
-        out[:, (2 * nu + 1) * m:(2 * nu + 2) * m, 8 * m:9 * m] = 2.0 * A[:, nu]
-    out[:, m:2 * m, 9 * m:] = 2j * np.eye(m)              # d_0 B
-    return out
+    # d_nu C = 2 (T_nu + t_nu), d_0 B = 2i, d_mu d_mu C = 2
+    dM = np.zeros((4,) + M.shape, dtype=complex)
+    dM[:, :, m:, :m] = 2.0 * A.transpose(1, 0, 2, 3)
+    dM[0, :, m:, m:] = 2j * np.eye(m)
+    ddM = np.zeros(M.shape[1:], dtype=complex)
+    ddM[m:, :m] = 2.0 * np.eye(m)
+    return _jet(M, dM, ddM, JET[tag])
 
 
 def flow_coefficient(data, t, i, tag):
@@ -393,11 +442,14 @@ def flow_coefficient(data, t, i, tag):
     clipped to it.  The first-order tags 'ddag' and 'd' give the Weyl
     matrix of weyl_coefficient; the second-order tags give the companion
     matrix [[0, id], [C, B]] with C = i T_0' + (T_0+t_0)^2 + sum_j (T_j+t_j)^2
-    and B = 2i (T_0+t_0), lifted by kron(id2, .) for 'ddagd'.  The tag
-    'dfinv' gives the finv flow augmented by its whole t-gradient, on the
-    state (d_0 Y, d_1 Y, d_2 Y, d_3 Y, Y): M on the five diagonal blocks and
-    d_nu M in block (nu, 4), with d_nu C = 2 (T_nu+t_nu) and d_0 B = 2i, so
-    that a transfer carries d_nu Y in block (nu, 4) and Y on the diagonal
+    and B = 2i (T_0+t_0), lifted by kron(id2, .) for 'ddagd'.  The jet
+    tags of JET augment the finv flow by its t-derivatives: 'dfinv' on the
+    state (d_0 Y, d_1 Y, d_2 Y, d_3 Y, Y), with M on the five diagonal
+    blocks and d_nu M in block (nu, 4), d_nu C = 2 (T_nu+t_nu) and
+    d_0 B = 2i; 'ddfinv' on the 15 states (d_mu d_nu Y for mu <= nu,
+    d_nu Y, Y), where a pair (mu, nu) also couples d_mu M into state nu and
+    d_nu M into state mu, and d_mu d_mu C = 2 into Y.  A transfer then
+    carries every d_s Y in the last block column and Y on the diagonal
     (Van Loan, IEEE TAC 23 (1978) 395).
 
     M is a polynomial in the interval's variable u of degree d (first

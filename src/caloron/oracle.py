@@ -1,7 +1,8 @@
 """Independent cross-checks: closed forms, a dense discretization of the
 second-order operator, reference datasets, the integral route to the
-t-derivatives of the boundary F-blocks, and the classical (integral)
-route to the gauge potential through the normalized zero modes.
+t-derivatives of the boundary F-blocks, the classical (integral)
+route to the gauge potential through the normalized zero modes, and the
+central-difference curvature of the exact gauge potential.
 
 Everything here deliberately avoids the monodromy machinery wherever an
 independent method exists, so agreement is meaningful.
@@ -16,6 +17,8 @@ from . import connection, greens, monodromy, nahm
 from .errors import ConfigError, IntegrationError
 from .nahm import TWO_PI, eval_T
 from .spin import E, kron_spin
+
+_UNIT = np.eye(4)
 
 # ---------------------------------------------------------------------------
 # closed form for data with T = 0, Q = 0
@@ -512,8 +515,8 @@ def classical_gauge_potential(data, t, h=1e-4, quad_tol=1e-8, tol=1e-10,
 
     A = np.zeros((4, N, N), dtype=complex)
     for mu in range(4):
-        evp, chip, basesp = frame(t + h * connection._UNIT[mu])
-        evm, chim, basesm = frame(t - h * connection._UNIT[mu])
+        evp, chip, basesp = frame(t + h * _UNIT[mu])
+        evm, chim, basesm = frame(t - h * _UNIT[mu])
         valsp = _psi_at_nodes(evp, basesp, nodes)
         valsm = _psi_at_nodes(evm, basesm, nodes)
         dpsi = [(p - m) / (2.0 * h) for p, m in zip(valsp, valsm)]
@@ -523,3 +526,21 @@ def classical_gauge_potential(data, t, h=1e-4, quad_tol=1e-8, tol=1e-10,
         chi_min_eigenvalue=float(np.linalg.eigvalsh(chi0 @ chi0).min()),
         antiherm_defect=float(max(np.max(np.abs(A[mu] + A[mu].conj().T))
                                   for mu in range(4))))
+
+
+# ---------------------------------------------------------------------------
+# finite-difference curvature
+
+def fd_curvature(data, t, h, tol=1e-10):
+    """Curvature with the outer derivatives d_rho A_mu by central
+    differences of step h of the exact gauge_potential: the cross-check of
+    connection.curvature, whose error falls as h^2."""
+    t = np.asarray(t, dtype=float)
+
+    def potential(tp):
+        return connection.gauge_potential(data, tp, tol=tol).A
+
+    dA = np.stack([(potential(t + h * e) - potential(t - h * e)) / (2.0 * h)
+                   for e in _UNIT])
+    return connection.Curvature(t=tuple(float(x) for x in t),
+                                F=connection.field_strength(potential(t), dA))

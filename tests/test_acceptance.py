@@ -191,17 +191,24 @@ def test_criterion_07_selfduality_grid(scan, reference):
     orientations = {r["orientation"] for r in rows}
     assert max(residuals) < 1e-3
     assert orientations == {1} or orientations == {-1}
-    # refinement: residual decreases under h -> h/2 until the floor
+    # refinement: the residual of the finite-difference curvature decreases
+    # under h -> h/2 until the floor
     floor = 5e-7
     t = POINTS[0]
-    seq = [connection.selfdual_residual(reference, t, h=h).residual
+    seq = [connection.selfdual_residual(
+               reference, t, curv=oracle.fd_curvature(reference, t, h)).residual
            for h in (1e-3, 5e-4, 2.5e-4)]
     for a, b in zip(seq, seq[1:]):
         if a > floor:
             assert b < a, seq
+    # the closed-form curvature has no step: its residual is at roundoff
+    exact = max(connection.selfdual_residual(reference, p).residual
+                for p in POINTS)
+    assert exact < 1e-10
     report(7, f"max residual {max(residuals):.3e} over 81 points, "
               f"orientation {orientations}, refinement {seq[0]:.1e} -> "
-              f"{seq[1]:.1e} -> {seq[2]:.1e} -> PASS")
+              f"{seq[1]:.1e} -> {seq[2]:.1e}, exact {exact:.1e} at 5 points "
+              f"-> PASS")
 
 
 def test_criterion_08_dense_oracle_convergence(reference):

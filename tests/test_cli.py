@@ -61,7 +61,7 @@ def test_validate_ok(ref_config, capsys):
     doc = json.loads(out)
     assert doc["valid"] is True
     assert doc["k"] == 1 and doc["n"] == 2 and doc["N"] == 2
-    assert doc["schema_version"] == "1"
+    assert doc["schema_version"] == "2"
 
 
 def test_validate_strict_ok(ref_config, capsys):
@@ -230,6 +230,22 @@ def test_scan_csv_json_agree(ref_config, tmp_path, capsys):
     assert int(crows[0]["orientation"]) == rows[0]["orientation"]
     assert rows[0]["status"] == crows[0]["status"] == "ok"
     assert rows[0]["residual"] < 1e-3
+
+
+def test_scan_schema_and_removed_curvature_step(ref_config, capsys):
+    # the curvature is closed form: no step to choose, none reported
+    grid = "t0=0.25,t1=0.15,t2=-0.2,t3=0.3"
+    rc, out = run(capsys, "selfdual-scan", "--config", ref_config,
+                  "--grid", grid, "--curvature-h", "1e-3")
+    assert rc == 1
+    assert out == ""
+    rc, out = run(capsys, "selfdual-scan", "--config", ref_config,
+                  "--grid", grid)
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["schema_version"] == "2"
+    assert "curvature_h" not in doc
+    assert doc["rows"][0]["residual"] < 1e-10
 
 
 def test_scan_output_file(free_config_path, tmp_path, capsys):

@@ -66,7 +66,7 @@ def test_sylvester_derivative_matches_fd():
     S = S @ S + 0.3 * np.eye(4)  # positive definite
     dS = rand_herm(rng, 4)
     chi0 = con.hermitian_sqrt(S)
-    got = con._sylvester_dchi(chi0, dS)
+    got = con._sylvester(*np.linalg.eigh(chi0), dS)
     h = 1e-6
     fd = (sqrtm(S + h * dS) - sqrtm(S - h * dS)) / (2 * h)
     assert np.max(np.abs(got - fd)) < 1e-7
@@ -167,12 +167,46 @@ def test_curvature_antisymmetry_and_density(reference):
 
 
 def test_selfdual_refinement_passes_the_old_floor(reference):
-    # A is exact, so the residual keeps its O(h^2) fall well below 5e-7,
-    # where finite-difference noise in A (tol / h ~ 1e-6) would stop it
-    seq = [con.selfdual_residual(reference, T_REF, h=h).residual
+    # A is exact, so the residual of its finite-difference curvature keeps
+    # its O(h^2) fall well below 5e-7, where finite-difference noise in A
+    # (tol / h ~ 1e-6) would stop it; the closed-form curvature has no step
+    # and sits at roundoff
+    seq = [con.selfdual_residual(
+               reference, T_REF,
+               curv=oracle.fd_curvature(reference, T_REF, h)).residual
            for h in (1e-3, 5e-4, 2.5e-4, 1.25e-4, 6.25e-5, 3.125e-5)]
     assert all(b < a for a, b in zip(seq, seq[1:])), seq
     assert seq[-1] < 5e-8, seq
+    assert con.selfdual_residual(reference, T_REF).residual < 1e-10
+
+
+def test_ddf_exact_vs_fd_of_exact_df(poly_case):
+    # the second-order jet against central differences of the exact d_nu F
+    # on non-commuting s-dependent data: the error falls as h^2
+    data, t = poly_case
+    ddF = greens.GreensEvaluator(data, t).boundary(want_ddF=True).ddF
+    errs = []
+    for h in (1e-3, 5e-4):
+        fd = np.stack([
+            (greens.GreensEvaluator(data, t + h * e).boundary(want_dF=True).dF
+             - greens.GreensEvaluator(data, t - h * e).boundary(want_dF=True).dF)
+            / (2.0 * h) for e in np.eye(4)])
+        errs.append(np.max(np.abs(fd - ddF)))
+    assert errs[1] < errs[0] / 3.0, errs
+    assert errs[1] < 2e-6, errs
+    # d_rho d_nu F is symmetric in (rho, nu) and block-hermitian like F
+    assert np.array_equal(ddF, ddF.swapaxes(0, 1))
+    assert np.max(np.abs(ddF - ddF.conj().transpose(0, 1, 3, 2, 5, 4))) < 1e-9
+
+
+def test_curvature_exact_vs_fd_curvature(reference):
+    # the closed form against central differences of the exact A (the old
+    # curvature): the difference falls as h^2
+    F = con.curvature(reference, T_REF).F
+    errs = [np.linalg.norm(oracle.fd_curvature(reference, T_REF, h).F - F)
+            / np.linalg.norm(F) for h in (2e-4, 1e-4)]
+    assert 3.0 < errs[0] / errs[1] < 5.0, errs
+    assert errs[1] < 1e-6, errs
 
 
 def test_selfdual_residual_reference(reference):

@@ -107,14 +107,25 @@ def test_twin_potential_builds_each_coefficient_once(twin_case, monkeypatch):
     monkeypatch.setattr(nahm, "flow_coefficient", counted)
     connection.gauge_potential(twin, t)
     assert sorted(builds) == [("dfinv", i) for i in range(twin.n)]
-    # partial spans of an interval share its cached coefficient
+    # the closed and the partial spans of an interval share its cached
+    # coefficient
     prop = monodromy.Propagator(twin, t)
     a, b = twin.interval_bounds(0)
+    before = len(builds)
     prop.path_matrix("ddag", a, 0.5 * (a + b))
+    assert sorted(builds[before:]) == [("ddag", i) for i in range(twin.n)]
     before = len(builds)
     for s in np.linspace(a, b, 6)[1:-1]:
         prop.path_matrix("ddag", a, s)
     assert len(builds) == before
+
+
+def test_twin_curvature_matches_constant_data(twin_case):
+    # the curvature is gauge invariant on the boundary space, like A
+    data, twin, t = twin_case
+    dF = np.max(np.abs(connection.curvature(twin, t).F
+                       - connection.curvature(data, t).F))
+    assert dF < 1e-8
 
 
 def test_twin_df_exact_vs_integral(twin_case):
