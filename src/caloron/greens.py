@@ -292,10 +292,10 @@ def qgq_matrix(data, bg):
         raise ValueError("boundary data was built without G blocks "
                          "(pass want_G=True)")
     n, k = data.n, data.k
-    Q = _spin_rows(data).reshape(2, n, k, -1).transpose(1, 0, 2, 3)
-    Q = Q.reshape(2 * n * k, -1)             # block diagonal of the Q_alpha
-    G = np.swapaxes(bg.G, 1, 2).reshape(2 * n * k, 2 * n * k)
-    return Q.conj().T @ G @ Q
+    # G = sum_st e_st (x) G_st: sandwich the spin blocks G_st, keep Z[s, t, s, t]
+    Gst = bg.G.reshape(n, n, 2, k, 2, k).transpose(2, 4, 0, 1, 3, 5)
+    Z = boundary_sandwich(data, Gst)
+    return Z[0, 0, 0, 0] + Z[0, 1, 0, 1] + Z[1, 0, 1, 0] + Z[1, 1, 1, 1]
 
 
 # -- convenience wrappers ---------------------------------------------------

@@ -228,31 +228,25 @@ def _interval_transfer(data, i, coeff, s0, s1, tol):
     return transfer(coeff, s0, s1, tol, constant=data.intervals[i].degree == 0)
 
 
-def _closed_transfers(data, t, tag, tol, coefficient):
-    coefficient = coefficient or partial(nahm.flow_coefficient, data, t, tag=tag)
+def _closed_transfers(data, coefficient, tol):
     return [_interval_transfer(data, i, coefficient(i),
                                *data.interval_bounds(i), tol)
             for i in range(data.n)]
 
 
-def interval_transfers_first_order(data, t, which="ddag", tol=1e-10,
-                                   coefficient=None):
-    """Transfer matrices over each closed interval [lambda_i, lambda_{i+1}].
-
-    coefficient(i), if given, supplies the flow coefficient of interval i
-    (a Propagator passes its cache); by default it is built here.
-    """
+def interval_transfers_first_order(data, which, coefficient, tol):
+    """Transfer matrices over each closed interval [lambda_i, lambda_{i+1}]
+    of the flow `which`; coefficient(i) is its coefficient on interval i."""
     if which not in ("ddag", "d"):
         raise ValueError(f"which must be 'ddag' or 'd', got {which!r}")
-    return _closed_transfers(data, t, which, tol, coefficient)
+    return _closed_transfers(data, coefficient, tol)
 
 
-def interval_transfers_second_order(data, t, operator_tag="finv", tol=1e-10,
-                                    coefficient=None):
+def interval_transfers_second_order(data, operator_tag, coefficient, tol):
     """Companion-system transfers over each closed interval; coefficient as
     for interval_transfers_first_order."""
     _check_tag(operator_tag)
-    return _closed_transfers(data, t, operator_tag, tol, coefficient)
+    return _closed_transfers(data, coefficient, tol)
 
 
 class Propagator:
@@ -281,8 +275,8 @@ class Propagator:
         if tag not in self._transfers:
             build = (interval_transfers_first_order if tag in ("ddag", "d")
                      else interval_transfers_second_order)
-            self._transfers[tag] = build(self.data, self.t, tag, self.tol,
-                                         partial(self._coefficient, tag))
+            self._transfers[tag] = build(self.data, tag,
+                                         partial(self._coefficient, tag), self.tol)
         return self._transfers[tag]
 
     def jumps(self, tag):

@@ -242,7 +242,7 @@ def test_walkers_agree_on_random_data():
         lam = [float(x) for x in data.lambdas]
         gaps = [b - a for a, b in map(data.interval_bounds, range(data.n))]
         off = (lam[0] + 0.35 * gaps[0]) % TWO_PI
-        for tag in ("ddag", "d", "finv", "ddagd", "dfinv"):
+        for tag in ("ddag", "d", "finv", "ddagd", "dfinv", "ddfinv"):
             for y in lam + [off]:
                 path = ev.path_matrix(tag, y, y + TWO_PI)
                 if tag in ("ddag", "d"):

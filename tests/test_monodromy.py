@@ -86,7 +86,7 @@ def test_constant_transfer_matches_dp45():
     rng = np.random.default_rng(13)
     data = oracle.random_valid_data(rng, k=2, n=3)
     t = np.array([0.3, 0.2, -0.25, 0.1])
-    for tag in ("ddag", "d", "finv", "ddagd", "dfinv"):
+    for tag in ("ddag", "d", "finv", "ddagd", "dfinv", "ddfinv"):
         for i in range(data.n):
             coeff = nahm.flow_coefficient(data, t, i, tag)
             a, b = data.interval_bounds(i)
@@ -217,7 +217,7 @@ def test_full_loop_path_matrix_is_the_loop():
     prop = mon.Propagator(data, np.array([0.3, 0.2, -0.25, 0.1]))
     bases = [float(y) for y in np.linspace(0.0, TWO_PI, 64, endpoint=False)]
     bases += [float(lam) for lam in data.lambdas]
-    for tag in ("ddag", "d", "finv", "ddagd", "dfinv"):
+    for tag in ("ddag", "d", "finv", "ddagd", "dfinv", "ddfinv"):
         for y in bases:
             assert np.array_equal(prop.path_matrix(tag, y, y + TWO_PI),
                                   prop.loop(tag, y)), (tag, y)

@@ -233,12 +233,34 @@ def _direct_flow_matrix(data, t, i, tag, u):
         C, B = np.kron(np.eye(2), C), np.kron(np.eye(2), B)
     m = C.shape[0]
     M = np.block([[np.zeros((m, m)), np.eye(m)], [C, B]])
-    if tag != "dfinv":
+    if tag not in nahm.JET:
         return M
-    out = np.kron(np.eye(5), M)
+    # the jet by the Leibniz rule, from d_nu M and d_mu d_mu M
+    dM = np.zeros((4, 2 * k, 2 * k), dtype=complex)
     for nu in range(4):
-        out[(2 * nu + 1) * k:(2 * nu + 2) * k, 8 * k:9 * k] = 2.0 * A[nu]
-    out[k:2 * k, 9 * k:] = 2j * np.eye(k)
+        dM[nu, k:, :k] = 2.0 * A[nu]
+    dM[0, k:, k:] = 2j * np.eye(k)
+    ddM = np.zeros((2 * k, 2 * k), dtype=complex)
+    ddM[k:, :k] = 2.0 * np.eye(k)
+    pairs = ([(mu, nu) for mu in range(4) for nu in range(mu, 4)]
+             if tag == "ddfinv" else [])
+    states = pairs + [(nu,) for nu in range(4)] + [()]
+    pos = {state: c for c, state in enumerate(states)}
+    out = np.kron(np.eye(len(states)), M)
+
+    def add(row, col, X):
+        r, c = 2 * k * pos[row], 2 * k * pos[col]
+        out[r:r + 2 * k, c:c + 2 * k] += X
+
+    for nu in range(4):
+        add((nu,), (), dM[nu])
+    for mu, nu in pairs:
+        if mu == nu:
+            add((mu, mu), (mu,), 2.0 * dM[mu])
+            add((mu, mu), (), ddM)
+        else:
+            add((mu, nu), (nu,), dM[mu])
+            add((mu, nu), (mu,), dM[nu])
     return out
 
 
@@ -252,7 +274,7 @@ def test_flow_coefficient_series_matches_pointwise_formula(degree):
     us = [-1.0, 0.0, 1.0] + list(rng.uniform(-1.0, 1.0, size=5))
     for i in range(data.n):
         a, b = data.interval_bounds(i)
-        for tag in ("ddag", "d", "finv", "ddagd", "dfinv"):
+        for tag in ("ddag", "d", "finv", "ddagd", "dfinv", "ddfinv"):
             coeff = nahm.flow_coefficient(data, t, i, tag)
             for u in us:
                 want = _direct_flow_matrix(data, t, i, tag, u)
