@@ -20,6 +20,7 @@ import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 
 import numpy as np
 
@@ -262,7 +263,10 @@ def cmd_oracle_compare(args):
     return EXIT_OK if passed else EXIT_STRICT
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process: main parses every
+    command line with it."""
     p = _Parser(prog="caloron",
                 description="Nahm data to caloron gauge fields")
     sub = p.add_subparsers(dest="command", required=True)
@@ -293,14 +297,12 @@ def build_parser():
 
     sp = sub.add_parser("selfdual-scan",
                         help="self-duality residual over a t-grid")
-    sp.add_argument("--config", required=True)
+    common(sp)
     sp.add_argument("--grid", required=True,
                     help="'t0=a:b:n,t1=...,...'; fixed axes as 't2=v'")
-    sp.add_argument("--ode-tol", type=float, default=1e-10)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--jobs", type=int, default=1,
                     help="parallel workers (default 1)")
-    sp.add_argument("--output")
     sp.set_defaults(func=cmd_selfdual_scan)
 
     sp = sub.add_parser("oracle-compare",

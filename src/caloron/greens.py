@@ -1,24 +1,21 @@
 """Green's functions of the kernel flows via monodromy inversion.
 
-For a first-order flow with circle monodromy iota based at y, the
-fundamental kernel is
-
-    B(x, y) = iota_{x,y} (iota_{y+2pi,y} - id)^{-1},   x in [y, y + 2*pi),
-
-where iota_{x,y} transports solutions from y to x.  For the second-order
-companion flows the Green's function with a unit source insertion at y is
+The compact formula needs only the values of the Green's functions at
+pairs of marked points.  For the second-order companion flows the Green's
+function with a unit source insertion at y is
 
     F(x, y) = pi_2 iota_{x,y} (iota_{y+2pi,y} - id)^{-1} pi_1,
 
-with pi_1 v = (0, v) (a pure derivative kick at the source) and pi_2 the
-value block; the source convention matches the sign of the -d^2/ds^2 term
-of the operator.  G is the same formula for the 2k-dimensional lifted
-flow ('ddagd'), F for the k-dimensional one ('finv').
+where iota_{x,y} transports solutions from y to x, with pi_1 v = (0, v)
+(a pure derivative kick at the source) and pi_2 the value block; the
+source convention matches the sign of the -d^2/ds^2 term of the
+operator.  G is the same formula for the 2k-dimensional lifted flow
+('ddagd'), F for the k-dimensional one ('finv').
 
 The boundary Green's matrices collect the blocks F(lambda_beta,
-lambda_alpha) and G(lambda_beta, lambda_alpha); sandwiching with the
-boundary matrices Q gives the N x N matrices entering the gauge
-potential, N = sum of the Q widths.
+lambda_alpha) and G(lambda_beta, lambda_alpha), one walk from each
+marked point; sandwiching with the boundary matrices Q gives the N x N
+matrices entering the gauge potential, N = sum of the Q widths.
 
 All evaluations at a fixed (data, t) share one GreensEvaluator: the
 circle walk and transfer caches of monodromy.Propagator, plus the checked
@@ -31,7 +28,6 @@ import numpy as np
 
 from . import monodromy, nahm
 from .errors import IntegrationError, IrregularPointError
-from .nahm import TWO_PI, marked_index
 
 _COND_LIMIT = 1e12
 _DIAG_TOL = 1e-8
@@ -102,39 +98,6 @@ class GreensEvaluator(monodromy.Propagator):
         P1 = np.zeros((2 * m, m), dtype=complex)
         P1[m:, :] = np.eye(m)
         return self._checked_inverse_apply(M, P1, where)
-
-    # -- kernels -----------------------------------------------------------
-
-    def fundamental_B(self, x, y, which="ddag"):
-        """First-order kernel iota_{x,y}(iota_loop - id)^{-1}, (2k x 2k).
-
-        At x = y returns the one-sided (x -> y+) limit (iota_loop - id)^{-1};
-        across the diagonal the kernel jumps by the identity.
-        """
-        loop = self.loop(which, y)
-        base = self._checked_inverse_apply(
-            loop, np.eye(2 * self.data.k, dtype=complex),
-            f"{which} loop at s = {y:.6g}")
-        d = (x - y) % TWO_PI
-        if d == 0.0:
-            return base
-        return self.path_matrix(which, y, y + d) @ base
-
-    def greens_value(self, tag, x, y):
-        """Green's function block: value part of the sourced companion flow."""
-        m = self.data.k if tag == "finv" else 2 * self.data.k
-        alpha = marked_index(self.data, y)
-        if alpha is not None:
-            K = self.loop_solution(tag, alpha)
-            y = float(self.data.lambdas[alpha])
-        else:
-            K = self._source_solve(self.loop(tag, y),
-                                   f"{tag} loop at s = {y:.6g}")
-        d = (x - y) % TWO_PI
-        if d == 0.0:
-            return K[:m, :].copy()
-        state = self.path_matrix(tag, y, y + d) @ K
-        return state[:m, :]
 
     # -- boundary matrices --------------------------------------------------
 
@@ -296,13 +259,6 @@ def qgq_matrix(data, bg):
     Gst = bg.G.reshape(n, n, 2, k, 2, k).transpose(2, 4, 0, 1, 3, 5)
     Z = boundary_sandwich(data, Gst)
     return Z[0, 0, 0, 0] + Z[0, 1, 0, 1] + Z[1, 0, 1, 0] + Z[1, 1, 1, 1]
-
-
-# -- convenience wrappers ---------------------------------------------------
-
-def greens_F(data, t, x, y, tol=1e-10):
-    """k x k Green's function of the scalar-type second-order flow."""
-    return GreensEvaluator(data, t, tol).greens_value("finv", x, y)
 
 
 def boundary_greens(data, t, tol=1e-10, want_G=False):

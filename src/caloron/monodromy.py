@@ -1,9 +1,11 @@
 """Transfer matrices and circle monodromies of the kernel ODEs.
 
-First-order flows come from the two Weyl operators: solutions of
-D^dagger f = 0 satisfy f' = M(s) f with M = weyl_coefficient(..., 'ddag'),
-and likewise for D.  First-order solutions are continuous across marked
-points, so the circle monodromy is a plain product of interval transfers.
+The first-order flow comes from the Weyl operator D^dagger: solutions of
+D^dagger f = 0 satisfy f' = M(s) f with M = flow_coefficient(..., 'ddag').
+The flow of D is its adjoint, M_D = -M^dagger, so D's loop is the inverse
+adjoint of D^dagger's and regularity reads both gaps off the one D^dagger
+loop.  First-order solutions are continuous across marked points, so the
+circle monodromy is a plain product of interval transfers.
 
 Second-order flows belong to the two laplacians built from the data:
 
@@ -161,26 +163,6 @@ def transfer(coeff, s0, s1, tol=1e-10, constant=False):
     return Y
 
 
-@dataclass(frozen=True)
-class Monodromy:
-    """Full-circle transfer matrix with its base point and provenance."""
-    matrix: np.ndarray
-    base_point: float
-    operator_tag: str
-    t: tuple
-
-
-def second_order_coefficient(data, t, s, operator_tag="finv", side="right"):
-    """Companion matrix [[0, id], [C(s), B(s)]] of the interval ODE.
-
-    C = i T_0' + (T_0+t_0)^2 + sum_j (T_j+t_j)^2 and B = 2i (T_0+t_0),
-    lifted by kron(id2, .) for operator_tag='ddagd'.
-    """
-    _check_tag(operator_tag)
-    i, su = locate(data, s, side)
-    return nahm.flow_coefficient(data, t, i, operator_tag)(su)
-
-
 # 'dfinv' and 'ddfinv': the finv flow augmented by its first, and by its
 # first and second, t-derivatives (nahm.JET); see nahm.flow_coefficient
 _SECOND_ORDER_TAGS = ("finv", "ddagd") + tuple(nahm.JET)
@@ -236,9 +218,10 @@ def _closed_transfers(data, coefficient, tol):
 
 def interval_transfers_first_order(data, which, coefficient, tol):
     """Transfer matrices over each closed interval [lambda_i, lambda_{i+1}]
-    of the flow `which`; coefficient(i) is its coefficient on interval i."""
-    if which not in ("ddag", "d"):
-        raise ValueError(f"which must be 'ddag' or 'd', got {which!r}")
+    of the first-order flow `which` ('ddag', the only one); coefficient(i)
+    is its coefficient on interval i."""
+    if which != "ddag":
+        raise ValueError(f"which must be 'ddag', got {which!r}")
     return _closed_transfers(data, coefficient, tol)
 
 
@@ -252,7 +235,7 @@ def interval_transfers_second_order(data, operator_tag, coefficient, tol):
 class Propagator:
     """The kernel flows at one (data, t): cached transfers and the circle walk.
 
-    Caches per flow tag ('ddag', 'd', 'finv', 'ddagd', 'dfinv', 'ddfinv')
+    Caches per flow tag ('ddag', 'finv', 'ddagd', 'dfinv', 'ddfinv')
     the interval transfers and the jump maps, per (tag, interval) the flow
     coefficient, which the closed and the partial spans of an interval
     share, and per (tag, interval, s0, s1) the transfer of every partial
@@ -273,7 +256,7 @@ class Propagator:
     def interval_transfers(self, tag):
         """Transfers of flow `tag` over each closed interval."""
         if tag not in self._transfers:
-            build = (interval_transfers_first_order if tag in ("ddag", "d")
+            build = (interval_transfers_first_order if tag == "ddag"
                      else interval_transfers_second_order)
             self._transfers[tag] = build(self.data, tag,
                                          partial(self._coefficient, tag), self.tol)
@@ -281,7 +264,7 @@ class Propagator:
 
     def jumps(self, tag):
         """Marked-point jump maps of a second-order flow (None for first order)."""
-        if tag in ("ddag", "d"):
+        if tag == "ddag":
             return None
         if tag not in self._jumps:
             self._jumps[tag] = [second_order_jump(self.data, self.t, alpha, tag)
@@ -343,10 +326,6 @@ class Propagator:
         """
         return self.walk(tag, y, [locate(self.data, y)])[0]
 
-    def loop_matrix(self, tag, alpha):
-        """Full-circle transfer based at lambda_alpha."""
-        return self.loop(tag, self.data.lambdas[alpha])
-
     def path_matrix(self, tag, y, x):
         """Transport from y to x, x in (y, y + 2*pi] up to winding.
 
@@ -364,27 +343,6 @@ class Propagator:
         return self.walk(tag, y, [locate(self.data, y + (x - y) % TWO_PI)])[0]
 
 
-def circle_monodromy_first_order(data, t, s0=None, which="ddag", tol=1e-10):
-    """Monodromy of the first-order flow around the full circle from s0."""
-    return _circle_monodromy(data, t, s0, which, tol)
-
-
-def circle_monodromy_second_order(data, t, s0=None, operator_tag="finv",
-                                  tol=1e-10):
-    """Companion-system monodromy around the full circle from s0, with the
-    marked-point jump maps composed in."""
-    _check_tag(operator_tag)
-    return _circle_monodromy(data, t, s0, operator_tag, tol)
-
-
-def _circle_monodromy(data, t, s0, tag, tol):
-    if s0 is None:
-        s0 = float(data.lambdas[0])
-    prop = Propagator(data, t, tol)
-    return Monodromy(matrix=prop.loop(tag, s0), base_point=float(s0),
-                     operator_tag=tag, t=tuple(float(x) for x in prop.t))
-
-
 @dataclass(frozen=True)
 class RegularityReport:
     gap_ddag: float
@@ -398,12 +356,13 @@ def regularity(data, t, tol=1e-10, threshold=1e-6):
 
     The Green's functions exist iff neither first-order monodromy has a
     unit eigenvalue; is_regular requires both gaps to exceed threshold.
+    Only the D^dagger loop is walked: D is the adjoint flow, so its loop is
+    the inverse adjoint of that loop, and an eigenvalue lam of the D^dagger
+    loop gives 1/conj(lam) of the D loop, at |lam - 1| / |lam| from 1.
     """
-    gaps = {}
-    for which in ("ddag", "d"):
-        mon = circle_monodromy_first_order(data, t, which=which, tol=tol)
-        eig = np.linalg.eigvals(mon.matrix)
-        gaps[which] = float(np.min(np.abs(eig - 1.0)))
-    return RegularityReport(gap_ddag=gaps["ddag"], gap_d=gaps["d"],
-                            is_regular=min(gaps.values()) > threshold,
+    eig = np.linalg.eigvals(Propagator(data, t, tol).loop("ddag", data.lambdas[0]))
+    dist = np.abs(eig - 1.0)
+    gap_ddag, gap_d = float(np.min(dist)), float(np.min(dist / np.abs(eig)))
+    return RegularityReport(gap_ddag=gap_ddag, gap_d=gap_d,
+                            is_regular=min(gap_ddag, gap_d) > threshold,
                             threshold=threshold)

@@ -333,19 +333,6 @@ def matching_residual(data, alpha):
     return out
 
 
-def weyl_coefficient(data, t, s, side="right", which="ddag"):
-    """First-order flow matrix M(s) of the kernel ODE f' = M f, (2k x 2k).
-
-    For which='ddag' (operator D^dagger):
-        M = kron(id2, i (T_0 + t_0)) - sum_j kron(sigma_j, T_j + t_j)
-    For which='d' (operator D) the sign of the sum flips.
-    """
-    if which not in ("ddag", "d"):
-        raise ValueError(f"which must be 'ddag' or 'd', got {which!r}")
-    i, su = locate(data, s, side)
-    return flow_coefficient(data, t, i, which)(su)
-
-
 @lru_cache(maxsize=None)
 def _cheb_basis(P):
     """Basis matrix V[q, p] = T_p(u_q) at the P Chebyshev points of the first
@@ -411,9 +398,8 @@ def _flow_matrices(tag, A, dA0):
     A holds T_mu + t_mu at the points, (P, 4, k, k), and dA0 dT_0/ds (or 0);
     np.kron lifts every matrix of a stack at once.
     """
-    if tag in ("ddag", "d"):
-        sign = -1.0 if tag == "ddag" else 1.0
-        return np.kron(np.eye(2), 1j * A[:, 0]) + sign * sum(
+    if tag == "ddag":
+        return np.kron(np.eye(2), 1j * A[:, 0]) - sum(
             np.kron(pauli(j), A[:, j]) for j in (1, 2, 3))
     C = 1j * dA0 + (A @ A).sum(axis=1)
     B2 = 2j * A[:, 0]
@@ -439,10 +425,11 @@ def flow_coefficient(data, t, i, tag):
     """Coefficient s -> M(s) of the kernel flow `tag` on interval i.
 
     s is in the interval's own coordinate, [a_i, b_i] of interval_bounds,
-    clipped to it.  The first-order tags 'ddag' and 'd' give the Weyl
-    matrix of weyl_coefficient; the second-order tags give the companion
-    matrix [[0, id], [C, B]] with C = i T_0' + (T_0+t_0)^2 + sum_j (T_j+t_j)^2
-    and B = 2i (T_0+t_0), lifted by kron(id2, .) for 'ddagd'.  The jet
+    clipped to it.  The first-order tag 'ddag' gives the Weyl matrix of
+    D^dagger, kron(id2, i (T_0+t_0)) - sum_j kron(sigma_j, T_j+t_j); the
+    second-order tags give the companion matrix [[0, id], [C, B]] with
+    C = i T_0' + (T_0+t_0)^2 + sum_j (T_j+t_j)^2 and B = 2i (T_0+t_0),
+    lifted by kron(id2, .) for 'ddagd'.  The jet
     tags of JET augment the finv flow by its t-derivatives: 'dfinv' on the
     state (d_0 Y, d_1 Y, d_2 Y, d_3 Y, Y), with M on the five diagonal
     blocks and d_nu M in block (nu, 4), d_nu C = 2 (T_nu+t_nu) and
@@ -462,10 +449,12 @@ def flow_coefficient(data, t, i, tag):
     t = np.asarray(t, dtype=float)
     if t.shape != (4,):
         raise ValueError("t must be a 4-vector (t0, t1, t2, t3)")
+    if tag not in ("ddag", "finv", "ddagd") + tuple(JET):
+        raise ValueError(f"unknown flow tag {tag!r}")
     iv = data.intervals[i]
     a, b = data.interval_bounds(i)
     d = iv.degree
-    P = d + 1 if tag in ("ddag", "d") else 2 * d + 1
+    P = d + 1 if tag == "ddag" else 2 * d + 1
     V, Vinv = _cheb_basis(P)
     A = np.tensordot(V[:, :d + 1], iv.coeffs, axes=([1], [1]))
     A = A + t[None, :, None, None] * np.eye(data.k)

@@ -442,7 +442,7 @@ def _zero_mode_bases(ev, chi_mat):
     offs, N = greens.block_offsets(data)
     bases = []
     for alpha in range(data.n):
-        loop = ev.loop_matrix("ddag", alpha)
+        loop = ev.loop("ddag", data.lambdas[alpha])
         rhs = data.Q[alpha] @ chi_mat[offs[alpha]:offs[alpha] + data.Q[alpha].shape[1], :]
         bases.append(ev._checked_inverse_apply(
             loop, rhs, f"ddag loop at marked point {alpha}"))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from caloron import nahm, oracle
+from caloron import nahm, oracle, spin
 
 
 def zero_mat(k):
@@ -61,3 +61,64 @@ def random_poly_data(rng, k=2, n=2, degree=3, magnitude=0.3):
                                  + 1j * rng.normal(size=(2 * k, 1))))
               for _ in range(n)],
     })
+
+
+def direct_flow_matrix(data, t, i, tag, u):
+    """The flow matrix of `tag` at u on interval i, rebuilt pointwise from
+    eval_T / eval_T_deriv.
+
+    Besides the flows of nahm.flow_coefficient it builds 'd', the Weyl
+    matrix of D, which the package never integrates: the tests check the D
+    loop it gives against the one regularity derives.
+    """
+    a, b = data.interval_bounds(i)
+    s = 0.5 * (a + b) + 0.5 * (b - a) * u
+    side = "left" if u > 0.0 else "right"   # both ends read interval i
+    k = data.k
+    A = [nahm.eval_T(data, mu, s, side) + t[mu] * np.eye(k) for mu in range(4)]
+    if tag in ("ddag", "d"):
+        sign = -1.0 if tag == "ddag" else 1.0
+        return np.kron(np.eye(2), 1j * A[0]) + sign * sum(
+            np.kron(spin.pauli(j), A[j]) for j in (1, 2, 3))
+    C = 1j * nahm.eval_T_deriv(data, 0, s, side) + sum(X @ X for X in A)
+    B = 2j * A[0]
+    if tag == "ddagd":
+        C, B = np.kron(np.eye(2), C), np.kron(np.eye(2), B)
+    m = C.shape[0]
+    M = np.block([[np.zeros((m, m)), np.eye(m)], [C, B]])
+    if tag not in nahm.JET:
+        return M
+    # the jet by the Leibniz rule, from d_nu M and d_mu d_mu M
+    dM = np.zeros((4, 2 * k, 2 * k), dtype=complex)
+    for nu in range(4):
+        dM[nu, k:, :k] = 2.0 * A[nu]
+    dM[0, k:, k:] = 2j * np.eye(k)
+    ddM = np.zeros((2 * k, 2 * k), dtype=complex)
+    ddM[k:, :k] = 2.0 * np.eye(k)
+    pairs = ([(mu, nu) for mu in range(4) for nu in range(mu, 4)]
+             if tag == "ddfinv" else [])
+    states = pairs + [(nu,) for nu in range(4)] + [()]
+    pos = {state: c for c, state in enumerate(states)}
+    out = np.kron(np.eye(len(states)), M)
+
+    def add(row, col, X):
+        r, c = 2 * k * pos[row], 2 * k * pos[col]
+        out[r:r + 2 * k, c:c + 2 * k] += X
+
+    for nu in range(4):
+        add((nu,), (), dM[nu])
+    for mu, nu in pairs:
+        if mu == nu:
+            add((mu, mu), (mu,), 2.0 * dM[mu])
+            add((mu, mu), (), ddM)
+        else:
+            add((mu, nu), (nu,), dM[mu])
+            add((mu, nu), (mu,), dM[nu])
+    return out
+
+
+def pointwise_flow(data, t, i, tag):
+    """s -> direct_flow_matrix on interval i, s in the interval's own
+    coordinate (interval_bounds)."""
+    a, b = data.interval_bounds(i)
+    return lambda s: direct_flow_matrix(data, t, i, tag, (2.0 * s - a - b) / (b - a))

@@ -117,10 +117,10 @@ def test_criterion_02_monodromy_phase_law():
                                         magnitude=0.2)
         tvec = np.concatenate([[rng.uniform(-1, 1)],
                                rng.uniform(-0.3, 0.3, 3)])
-        base = monodromy.circle_monodromy_first_order(
-            data, np.array([0.0, *tvec[1:]]), tol=1e-12).matrix
-        shifted = monodromy.circle_monodromy_first_order(
-            data, tvec, tol=1e-12).matrix
+        y = data.lambdas[0]
+        base = monodromy.Propagator(
+            data, np.array([0.0, *tvec[1:]]), 1e-12).loop("ddag", y)
+        shifted = monodromy.Propagator(data, tvec, 1e-12).loop("ddag", y)
         defect = np.max(np.abs(
             shifted - np.exp(2j * np.pi * tvec[0]) * base))
         worst = max(worst, defect)

@@ -102,6 +102,32 @@ def test_usage_errors(ref_config, capsys):
     assert cli.main(["regularity", "--config", ref_config]) == 1
 
 
+def test_parser_is_built_once(ref_config, capsys, monkeypatch):
+    # one parser serves every in-process call, with the codes and outputs
+    # of a parser built afresh per call
+    t = "0.25,0.15,-0.2,0.3"
+    calls = [["regularity", "--config", ref_config, "--t", t],
+             ["connection", "--config", ref_config, "--t", t],
+             ["regularity", "--config", ref_config],
+             ["selfdual-scan", "--config", ref_config,
+              "--grid", "t0=0.25,t1=0.15,t2=-0.2,t3=0.3"]]
+
+    def results():
+        out = []
+        for argv in calls:
+            rc = cli.main(argv)
+            captured = capsys.readouterr()
+            out.append((rc, captured.out, captured.err))
+        return out
+
+    cli.build_parser.cache_clear()
+    cached = results()
+    assert cli.build_parser.cache_info().misses == 1
+    assert [rc for rc, _, _ in cached] == [0, 0, 1, 0]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert results() == cached
+
+
 # --------------------------------------------------------------- regularity
 
 def test_regularity_regular_point(ref_config, capsys):

@@ -1,10 +1,12 @@
-"""Fundamental solution, Green's function and the boundary block algebra."""
+"""Green's function blocks, the circle walk and the boundary block algebra."""
 
 import numpy as np
 import pytest
 
 from caloron import greens, monodromy, nahm, oracle
 from caloron.errors import IntegrationError, IrregularPointError
+
+from conftest import pointwise_flow, zero_mat
 
 TWO_PI = 2.0 * np.pi
 
@@ -23,24 +25,40 @@ def test_free_diagonal_value(free_data):
         assert abs(bg.F[0, 0, 0, 0] - want) < 1e-10
 
 
-def test_free_off_diagonal_values(free_data):
+def free_F(t, x, y):
+    """F(x, y) of the free field through boundary_greens: free data (T = 0,
+    zero Q columns) with its marked points at x and y."""
+    xs, ys = x % TWO_PI, y % TWO_PI
+    lams = [xs] if abs(xs - ys) < 1e-12 else sorted([xs, ys])
+    data = nahm.from_dict({
+        "k": 1,
+        "lambdas": lams,
+        "intervals": [{"degree": 0, "T": {str(mu): [zero_mat(1)] for mu in range(4)}}
+                      for _ in lams],
+        "Q": [[[[0.0, 0.0]], [[0.0, 0.0]]] for _ in lams],
+    })
+    F = greens.boundary_greens(data, t).F
+    return F[nahm.marked_index(data, x), nahm.marked_index(data, y)][0, 0]
+
+
+def test_free_off_diagonal_values():
     r = 0.8
     t = np.array([0.0, 0.0, r, 0.0])
     for x, y in [(2.0, 0.7), (0.3, 5.9), (4.4, 4.4), (1.0, 1.0 + TWO_PI)]:
-        got = greens.greens_F(free_data, t, x, y)[0, 0]
+        got = free_F(t, x, y)
         assert abs(got - oracle.free_field_F(r, x, y)) < 1e-9
 
 
-def test_free_integer_shift_covariance(free_data):
+def test_free_integer_shift_covariance():
     # integer shifts of t0 conjugate F by the periodic phase e^{is}
     r, t0 = 1.1, 0.37
     x, y = 2.6, 1.1
-    base = greens.greens_F(free_data, np.array([t0, r, 0, 0]), x, y)[0, 0]
-    got = greens.greens_F(free_data, np.array([t0 + 1.0, r, 0, 0]), x, y)[0, 0]
+    base = free_F(np.array([t0, r, 0, 0]), x, y)
+    got = free_F(np.array([t0 + 1.0, r, 0, 0]), x, y)
     assert abs(got - np.exp(1j * (x - y)) * base) < 1e-9
 
 
-def test_free_fourier_sum_oracle(free_data):
+def test_free_fourier_sum_oracle():
     # independent spectral representation of the twisted free Green's fn:
     # F(x,y) = (1/2pi) sum_m e^{im(x-y)} / ((t0+m)^2 + r^2)
     r, t0 = 0.8, 0.37
@@ -48,7 +66,7 @@ def test_free_fourier_sum_oracle(free_data):
     weights = 1.0 / ((t0 - m) ** 2 + r ** 2) / TWO_PI
     for x, y in [(2.6, 1.1), (0.4, 5.2), (3.3, 3.3)]:
         want = np.sum(weights * np.exp(1j * m * (x - y)))
-        got = greens.greens_F(free_data, np.array([t0, 0, r, 0]), x, y)[0, 0]
+        got = free_F(np.array([t0, 0, r, 0]), x, y)
         assert abs(got - want) < 2e-5  # partial-sum tail dominates
 
 
@@ -65,36 +83,6 @@ def test_free_kink_slope():
 def test_irregular_point_raises(free_data):
     with pytest.raises(IrregularPointError):
         greens.boundary_greens(free_data, np.zeros(4))
-
-
-# -------------------------------------------------- fundamental solution
-
-def test_fundamental_solution_odes(reference):
-    t = np.array([0.25, 0.15, -0.2, 0.3])
-    ev = greens.GreensEvaluator(reference, t, tol=1e-12)
-    y = 1.3
-    # away from the diagonal, columns solve the first-order flow
-    for x in (2.2, 5.0):
-        h = 1e-5
-        Bp = ev.fundamental_B(x + h, y)
-        Bm = ev.fundamental_B(x - h, y)
-        dB = (Bp - Bm) / (2 * h)
-        M = nahm.weyl_coefficient(reference, t, x, which="ddag")
-        B0 = ev.fundamental_B(x, y)
-        assert np.max(np.abs(dB - M @ B0)) < 1e-7
-    # crossing the diagonal, B drops by the identity
-    eps = 1e-9
-    jump = ev.fundamental_B(y + eps, y) - ev.fundamental_B(y - eps, y)
-    assert np.max(np.abs(jump + np.eye(2))) < 1e-6
-
-
-def test_fundamental_right_limit_on_diagonal(reference):
-    t = np.array([0.25, 0.15, -0.2, 0.3])
-    ev = greens.GreensEvaluator(reference, t, tol=1e-12)
-    y = 2.0
-    lim = ev.fundamental_B(y + 1e-9, y)
-    at = ev.fundamental_B(y, y)
-    assert np.max(np.abs(lim - at)) < 1e-6
 
 
 # --------------------------------------------------------- Green's blocks
@@ -139,15 +127,6 @@ def test_diagonal_check_on_F_ignores_the_scale_of_dF(reference, skew):
             ev._boundary_sweep("dfinv", 0)
     else:
         assert ev._boundary_sweep("dfinv", 0)[1] < 1e-9
-
-
-def test_interior_hermiticity(reference):
-    t = np.array([0.25, 0.15, -0.2, 0.3])
-    x, y = 1.1, 3.7
-    ev = greens.GreensEvaluator(reference, t, tol=1e-10)
-    fxy = ev.greens_value("finv", x, y)
-    fyx = ev.greens_value("finv", y, x)
-    assert np.max(np.abs(fxy - fyx.conj().T)) < 1e-8
 
 
 def test_path_matrix_composition(reference):
@@ -206,30 +185,13 @@ def test_boundary_sandwich_matches_manual(reference):
     assert np.allclose(qf, manual, atol=1e-12)
 
 
-def test_greens_value_periodic_arguments(reference):
-    t = np.array([0.25, 0.15, -0.2, 0.3])
-    ev = greens.GreensEvaluator(reference, t, tol=1e-10)
-    a = ev.greens_value("finv", 1.2, 3.4)
-    b = ev.greens_value("finv", 1.2 + TWO_PI, 3.4)
-    c = ev.greens_value("finv", 1.2, 3.4 - TWO_PI)
-    assert np.max(np.abs(a - b)) < 1e-9
-    assert np.max(np.abs(a - c)) < 1e-9
-
-
-
 # ---------------------------------------------------- walker cross-checks
 
-def _pointwise_flow(data, t, tag, side):
-    """s -> flow matrix of `tag`, one-sided at marked points."""
-    if tag in ("ddag", "d"):
-        return lambda s: nahm.weyl_coefficient(data, t, s, side, which=tag)
-    return lambda s: monodromy.second_order_coefficient(data, t, s, tag, side)
-
-
 def test_walkers_agree_on_random_data():
-    # full loops from one base point by three routes (the path from y to
-    # y + 2*pi, the circle monodromy and, on a marked point, the cached
-    # loop), and a path across a marked point against its pieces
+    # full loops from one base point by two routes (the path from y to
+    # y + 2*pi and the loop of a fresh Propagator), and a path across a
+    # marked point against its pieces, each integrated from the pointwise
+    # flow matrix
     rng = np.random.default_rng(13)
     tol = 1e-12
     for _ in range(2):  # (k, n) = (2, 3), then (2, 1)
@@ -240,30 +202,24 @@ def test_walkers_agree_on_random_data():
                             rng.uniform(-0.4, 0.4, size=3)])
         ev = greens.GreensEvaluator(data, t, tol=tol)
         lam = [float(x) for x in data.lambdas]
-        gaps = [b - a for a, b in map(data.interval_bounds, range(data.n))]
+        bounds = [data.interval_bounds(i) for i in range(data.n)]
+        gaps = [b - a for a, b in bounds]
         off = (lam[0] + 0.35 * gaps[0]) % TWO_PI
-        for tag in ("ddag", "d", "finv", "ddagd", "dfinv", "ddfinv"):
+        for tag in ("ddag", "finv", "ddagd", "dfinv", "ddfinv"):
             for y in lam + [off]:
                 path = ev.path_matrix(tag, y, y + TWO_PI)
-                if tag in ("ddag", "d"):
-                    circle = monodromy.circle_monodromy_first_order(
-                        data, t, s0=y, which=tag, tol=tol).matrix
-                else:
-                    circle = monodromy.circle_monodromy_second_order(
-                        data, t, s0=y, operator_tag=tag, tol=tol).matrix
+                circle = monodromy.Propagator(data, t, tol).loop(tag, y)
                 assert np.max(np.abs(path - circle)) < 1e-9, (tag, y)
-                alpha = nahm.marked_index(data, y)
-                if alpha is not None:
-                    loop = ev.loop_matrix(tag, alpha)
-                    assert np.max(np.abs(loop - circle)) < 1e-9, (tag, y)
             for beta in range(data.n):
-                y = lam[beta] - 0.4 * gaps[beta - 1]
+                prev = (beta - 1) % data.n
+                y = lam[beta] - 0.4 * gaps[prev]
                 x = lam[beta] + 0.4 * gaps[beta]
-                before = monodromy.transfer(_pointwise_flow(data, t, tag, "left"),
-                                            y, lam[beta], tol)
-                after = monodromy.transfer(_pointwise_flow(data, t, tag, "right"),
+                end = bounds[prev][1]    # lambda_beta in interval prev's coordinate
+                before = monodromy.transfer(pointwise_flow(data, t, prev, tag),
+                                            end - 0.4 * gaps[prev], end, tol)
+                after = monodromy.transfer(pointwise_flow(data, t, beta, tag),
                                            lam[beta], x, tol)
-                jump = (np.eye(len(before)) if tag in ("ddag", "d")
+                jump = (np.eye(len(before)) if tag == "ddag"
                         else monodromy.second_order_jump(data, t, beta, tag))
                 whole = ev.path_matrix(tag, y, x)
                 assert np.max(np.abs(whole - after @ jump @ before)) < 1e-9

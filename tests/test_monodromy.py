@@ -15,7 +15,7 @@ from caloron import monodromy as mon
 from caloron import nahm, oracle, spin
 from caloron.errors import IntegrationError
 
-from conftest import zero_mat
+from conftest import pointwise_flow, random_poly_data, zero_mat
 
 TWO_PI = 2.0 * np.pi
 
@@ -86,7 +86,7 @@ def test_constant_transfer_matches_dp45():
     rng = np.random.default_rng(13)
     data = oracle.random_valid_data(rng, k=2, n=3)
     t = np.array([0.3, 0.2, -0.25, 0.1])
-    for tag in ("ddag", "d", "finv", "ddagd", "dfinv", "ddfinv"):
+    for tag in ("ddag", "finv", "ddagd", "dfinv", "ddfinv"):
         for i in range(data.n):
             coeff = nahm.flow_coefficient(data, t, i, tag)
             a, b = data.interval_bounds(i)
@@ -131,8 +131,7 @@ def test_transfer_step_limit(monkeypatch):
 def test_free_first_order_monodromy(free_data):
     # constant coefficient: the loop is a matrix exponential
     t = np.array([0.35, 0.2, -0.4, 0.1])
-    loop = mon.circle_monodromy_first_order(free_data, t, s0=0.0,
-                                            tol=1e-12).matrix
+    loop = mon.Propagator(free_data, t, 1e-12).loop("ddag", 0.0)
     M = np.kron(np.eye(2), 1j * t[0] * np.eye(1))
     for j in (1, 2, 3):
         M = M - np.kron(spin.pauli(j), t[j] * np.eye(1))
@@ -148,8 +147,9 @@ def test_free_first_order_monodromy(free_data):
 
 def test_first_order_base_point_conjugation(reference):
     t = np.array([0.25, 0.15, -0.2, 0.3])
-    m1 = mon.circle_monodromy_first_order(reference, t, s0=0.3).matrix
-    m2 = mon.circle_monodromy_first_order(reference, t, s0=2.9).matrix
+    prop = mon.Propagator(reference, t)
+    m1 = prop.loop("ddag", 0.3)
+    m2 = prop.loop("ddag", 2.9)
     e1 = np.linalg.eigvals(m1)
     e2 = np.linalg.eigvals(m2)
     # pair the spectra by nearest match: a sort of purely imaginary pairs
@@ -165,9 +165,10 @@ def test_phase_law_spot():
         data = oracle.random_valid_data(rng, k=1, n=2, magnitude=0.25)
         tvec = np.concatenate([[0.0], rng.uniform(-0.3, 0.3, size=3)])
         t0 = 0.7
-        base = mon.circle_monodromy_first_order(data, tvec, tol=1e-12).matrix
-        shifted = mon.circle_monodromy_first_order(
-            data, tvec + np.array([t0, 0, 0, 0]), tol=1e-12).matrix
+        y = data.lambdas[0]
+        base = mon.Propagator(data, tvec, 1e-12).loop("ddag", y)
+        shifted = mon.Propagator(
+            data, tvec + np.array([t0, 0, 0, 0]), 1e-12).loop("ddag", y)
         defect = np.max(np.abs(shifted - np.exp(TWO_PI * 1j * t0) * base))
         assert defect < 1e-9
 
@@ -176,13 +177,16 @@ def test_phase_law_spot():
 
 def test_companion_shapes(reference):
     t = np.zeros(4)
-    s = 2.0
-    cf = mon.second_order_coefficient(reference, t, s, "finv")
-    cd = mon.second_order_coefficient(reference, t, s, "ddagd")
-    assert cf.shape == (2, 2)
-    assert cd.shape == (4, 4)
-    with pytest.raises(ValueError):
-        mon.second_order_coefficient(reference, t, s, "bogus")
+    prop = mon.Propagator(reference, t)
+    assert prop.interval_transfers("finv")[0].shape == (2, 2)
+    assert prop.interval_transfers("ddagd")[0].shape == (4, 4)
+    # D is the adjoint of the D^dagger flow, which regularity reads it from:
+    # no flow of its own
+    for tag in ("bogus", "d"):
+        with pytest.raises(ValueError):
+            prop.interval_transfers(tag)
+        with pytest.raises(ValueError, match="unknown flow tag"):
+            nahm.flow_coefficient(reference, t, 0, tag)
 
 
 def test_jump_lift_identity():
@@ -209,6 +213,26 @@ def test_regularity_report(reference, free_data):
     assert rep0.gap_ddag < 1e-8
 
 
+def test_gap_d_matches_an_independent_d_flow(reference):
+    # the D flow integrated from its own pointwise matrix: its loop is the
+    # inverse adjoint of the D^dagger loop, and its gap is the one
+    # regularity derives from that loop alone
+    rng = np.random.default_rng(8)
+    cases = [(reference, np.array([0.25, 0.15, -0.2, 0.3])),
+             (oracle.random_valid_data(rng, k=2, n=3), np.array([0.3, 0.2, -0.25, 0.1])),
+             (random_poly_data(rng), rng.uniform(-0.8, 0.8, size=4))]
+    for data, t in cases:
+        Y = np.eye(2 * data.k)
+        for i in range(data.n):
+            Y = mon.transfer(pointwise_flow(data, t, i, "d"),
+                             *data.interval_bounds(i), tol=1e-12) @ Y
+        ddag = mon.Propagator(data, t, 1e-12).loop("ddag", data.lambdas[0])
+        scale = max(1.0, np.max(np.abs(Y)))
+        assert np.max(np.abs(Y - np.linalg.inv(ddag).conj().T)) < 1e-9 * scale
+        gap = np.min(np.abs(np.linalg.eigvals(Y) - 1.0))
+        assert abs(gap - mon.regularity(data, t, tol=1e-12).gap_d) < 1e-9 * scale
+
+
 def test_full_loop_path_matrix_is_the_loop():
     # the unreduced difference x - y decides: y + 2*pi is always the loop,
     # also where its float difference rounds just above 2*pi
@@ -217,7 +241,7 @@ def test_full_loop_path_matrix_is_the_loop():
     prop = mon.Propagator(data, np.array([0.3, 0.2, -0.25, 0.1]))
     bases = [float(y) for y in np.linspace(0.0, TWO_PI, 64, endpoint=False)]
     bases += [float(lam) for lam in data.lambdas]
-    for tag in ("ddag", "d", "finv", "ddagd", "dfinv", "ddfinv"):
+    for tag in ("ddag", "finv", "ddagd", "dfinv", "ddfinv"):
         for y in bases:
             assert np.array_equal(prop.path_matrix(tag, y, y + TWO_PI),
                                   prop.loop(tag, y)), (tag, y)
@@ -227,12 +251,11 @@ def test_three_vector_t_is_rejected(reference):
     t = np.array([0.25, 0.15, -0.2])
     with pytest.raises(ValueError, match="4-vector"):
         mon.regularity(reference, t)
+    for tag in ("ddag", "finv"):
+        with pytest.raises(ValueError, match="4-vector"):
+            mon.Propagator(reference, t).loop(tag, 2.0)
     with pytest.raises(ValueError, match="4-vector"):
-        mon.circle_monodromy_first_order(reference, t)
-    with pytest.raises(ValueError, match="4-vector"):
-        mon.circle_monodromy_second_order(reference, t)
-    with pytest.raises(ValueError, match="4-vector"):
-        mon.second_order_coefficient(reference, t, 2.0)
+        nahm.flow_coefficient(reference, t, 0, "finv")
 
 
 # ------------------------------------------------------- mollifier tests
@@ -275,8 +298,7 @@ def test_delta_potential_against_gaussian_mollifier():
     })
     assert np.max(np.abs(nahm.matching_residual(data, 0))) < 1e-14
     t = np.array([0.3, 0.2, -0.1, 0.15])
-    exact = mon.circle_monodromy_second_order(data, t, s0=0.0,
-                                              operator_tag="finv").matrix
+    exact = mon.Propagator(data, t).loop("finv", 0.0)
     base = t[0] ** 2 + t[1] ** 2 + t[2] ** 2 + t[3] ** 2
 
     def mollified(width):
@@ -314,8 +336,7 @@ def test_matching_sign_against_smooth_step():
     for alpha in range(2):
         assert np.max(np.abs(nahm.matching_residual(data, alpha))) < 1e-14
     t = np.array([0.3, 0.2, -0.1, 0.15])
-    exact = mon.circle_monodromy_second_order(data, t, s0=0.0,
-                                              operator_tag="ddagd").matrix
+    exact = mon.Propagator(data, t).loop("ddagd", 0.0)
     E3 = spin.e_unit(3)
     id2 = np.eye(2)
 
@@ -347,6 +368,5 @@ def test_matching_sign_against_smooth_step():
     cfg = nahm.to_dict(data)
     cfg["Q"] = [[[[0.0, 0.0]], [[0.0, 0.0]]],
                 [[[0.0, 0.0]], [[0.0, 0.0]]]]
-    nojump = mon.circle_monodromy_second_order(
-        nahm.from_dict(cfg), t, s0=0.0, operator_tag="ddagd").matrix
+    nojump = mon.Propagator(nahm.from_dict(cfg), t).loop("ddagd", 0.0)
     assert np.max(np.abs(nojump - exact)) > 10 * errs[2]

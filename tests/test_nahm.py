@@ -8,7 +8,7 @@ import pytest
 from caloron import nahm, spin
 from caloron.errors import ConfigError
 
-from conftest import random_poly_data, zero_mat
+from conftest import direct_flow_matrix, random_poly_data, zero_mat
 
 TWO_PI = 2.0 * np.pi
 
@@ -197,73 +197,6 @@ def test_q_spin_parts(reference):
             assert np.allclose(dj, 1j * parts[j], atol=1e-14)
 
 
-# ---------------------------------------------------------- weyl matrices
-
-def test_weyl_coefficient_sign_split(reference):
-    t = np.array([0.3, 0.1, -0.2, 0.4])
-    s = 2.0
-    md = nahm.weyl_coefficient(reference, t, s, which="ddag")
-    mu = nahm.weyl_coefficient(reference, t, s, which="d")
-    k = reference.k
-    t0 = nahm.eval_T(reference, 0, s) + t[0] * np.eye(k)
-    # the two flows differ only in the sign of the sigma terms
-    assert np.allclose(md + mu, 2j * np.kron(np.eye(2), t0), atol=1e-13)
-    sig_part = np.zeros((2 * k, 2 * k), dtype=complex)
-    for j in (1, 2, 3):
-        tj = nahm.eval_T(reference, j, s) + t[j] * np.eye(k)
-        sig_part += np.kron(spin.pauli(j), tj)
-    assert np.allclose(md - mu, -2.0 * sig_part, atol=1e-13)
-
-
-def _direct_flow_matrix(data, t, i, tag, u):
-    """The flow matrix of `tag` at u on interval i, rebuilt pointwise from
-    eval_T / eval_T_deriv."""
-    a, b = data.interval_bounds(i)
-    s = 0.5 * (a + b) + 0.5 * (b - a) * u
-    side = "left" if u == 1.0 else "right"
-    k = data.k
-    A = [nahm.eval_T(data, mu, s, side) + t[mu] * np.eye(k) for mu in range(4)]
-    if tag in ("ddag", "d"):
-        sign = -1.0 if tag == "ddag" else 1.0
-        return np.kron(np.eye(2), 1j * A[0]) + sign * sum(
-            np.kron(spin.pauli(j), A[j]) for j in (1, 2, 3))
-    C = 1j * nahm.eval_T_deriv(data, 0, s, side) + sum(X @ X for X in A)
-    B = 2j * A[0]
-    if tag == "ddagd":
-        C, B = np.kron(np.eye(2), C), np.kron(np.eye(2), B)
-    m = C.shape[0]
-    M = np.block([[np.zeros((m, m)), np.eye(m)], [C, B]])
-    if tag not in nahm.JET:
-        return M
-    # the jet by the Leibniz rule, from d_nu M and d_mu d_mu M
-    dM = np.zeros((4, 2 * k, 2 * k), dtype=complex)
-    for nu in range(4):
-        dM[nu, k:, :k] = 2.0 * A[nu]
-    dM[0, k:, k:] = 2j * np.eye(k)
-    ddM = np.zeros((2 * k, 2 * k), dtype=complex)
-    ddM[k:, :k] = 2.0 * np.eye(k)
-    pairs = ([(mu, nu) for mu in range(4) for nu in range(mu, 4)]
-             if tag == "ddfinv" else [])
-    states = pairs + [(nu,) for nu in range(4)] + [()]
-    pos = {state: c for c, state in enumerate(states)}
-    out = np.kron(np.eye(len(states)), M)
-
-    def add(row, col, X):
-        r, c = 2 * k * pos[row], 2 * k * pos[col]
-        out[r:r + 2 * k, c:c + 2 * k] += X
-
-    for nu in range(4):
-        add((nu,), (), dM[nu])
-    for mu, nu in pairs:
-        if mu == nu:
-            add((mu, mu), (mu,), 2.0 * dM[mu])
-            add((mu, mu), (), ddM)
-        else:
-            add((mu, nu), (nu,), dM[mu])
-            add((mu, nu), (mu,), dM[nu])
-    return out
-
-
 @pytest.mark.parametrize("degree", [3, 16])
 def test_flow_coefficient_series_matches_pointwise_formula(degree):
     # the precomputed Chebyshev series of every flow matrix against the
@@ -274,10 +207,10 @@ def test_flow_coefficient_series_matches_pointwise_formula(degree):
     us = [-1.0, 0.0, 1.0] + list(rng.uniform(-1.0, 1.0, size=5))
     for i in range(data.n):
         a, b = data.interval_bounds(i)
-        for tag in ("ddag", "d", "finv", "ddagd", "dfinv", "ddfinv"):
+        for tag in ("ddag", "finv", "ddagd", "dfinv", "ddfinv"):
             coeff = nahm.flow_coefficient(data, t, i, tag)
             for u in us:
-                want = _direct_flow_matrix(data, t, i, tag, u)
+                want = direct_flow_matrix(data, t, i, tag, u)
                 got = coeff(0.5 * (a + b) + 0.5 * (b - a) * u)
                 scale = max(1.0, np.max(np.abs(want)))
                 assert np.max(np.abs(got - want)) < 1e-13 * scale, (tag, i, u)
