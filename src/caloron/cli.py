@@ -63,11 +63,18 @@ def _matrix_pairs(M):
     return [[_pairs(z) for z in row] for row in np.asarray(M)]
 
 
+def _finite(values, what):
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what}: expected finite reals")
+    return values
+
+
 def _parse_t(text):
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError("expected four comma-separated reals")
-    return np.array([float(p) for p in parts])
+    return _finite([float(p) for p in parts], "t")
 
 
 def _parse_grid(text):
@@ -87,14 +94,16 @@ def _parse_grid(text):
                 raise ValueError(f"unknown grid axis {name!r}")
             fields = rng.split(":")
             if len(fields) == 1:
-                axes[name] = np.array([float(fields[0])])
+                values = [float(fields[0])]
             elif len(fields) == 3:
                 start, stop, count = float(fields[0]), float(fields[1]), int(fields[2])
                 if count < 1:
                     raise ValueError(f"grid axis {name}: count must be >= 1")
-                axes[name] = np.linspace(start, stop, count)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    values = np.linspace(start, stop, count)
             else:
                 raise ValueError(f"bad grid component {item!r}")
+            axes[name] = _finite(values, f"grid axis {name}")
     return [axes[f"t{i}"] for i in range(4)]
 
 

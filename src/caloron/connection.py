@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import nahm
 from .errors import PositivityError
 from .greens import (GreensEvaluator, boundary_sandwich, identity_sandwich,
                      qfq_matrix)
@@ -93,28 +94,26 @@ def _sylvester(w, U, R):
 
 def _connection(data, bg):
     """A_mu, chi and the eigenvalues of chi^2 from the boundary jet bg, and
-    with bg.ddF also d_rho A_mu, (rho, mu, N, N) (else None).
+    at jet order 2 also d_rho A_mu, (rho, mu, N, N) (else None).
 
-    F, d_nu F and d_rho d_nu F are sandwiched in one stacked product.
+    The jet is sandwiched as it comes, in one stacked product, and its
+    first and second derivatives are picked out by nahm.jet_index.
     """
-    shape = bg.F.shape
-    jet = [bg.F[None], bg.dF]
-    if bg.ddF is not None:
-        jet.append(bg.ddF.reshape((16,) + shape))
-    Z = boundary_sandwich(data, np.concatenate(jet))
-    w, U = _positive_eigh(np.eye(Z.shape[-1]) - identity_sandwich(Z[0]))
+    first, second = nahm.jet_index(bg.order)
+    Z = boundary_sandwich(data, bg.jet)
+    w, U = _positive_eigh(np.eye(Z.shape[-1]) - identity_sandwich(Z[-1]))
     r = np.sqrt(w)                       # the eigenvalues of chi
     Uh = U.conj().T
     chi, ci = (U * r) @ Uh, (U / r) @ Uh
     # d_mu chi solves chi X + X chi = -Q^dag d_mu F Q; T_mu = sum_nu S(nu, mu)
-    dZ = Z[1:5]
+    dZ = Z[first]
     dchi = _sylvester(r, U, -identity_sandwich(dZ))
     T = np.einsum("nmst,nstxy->mxy", _BRACKETS, dZ)
     A = -0.25 * (ci @ T @ ci) + 0.5 * (ci @ dchi - dchi @ ci)
-    if bg.ddF is None:
+    if second is None:
         return A, chi, w, None
     # the rho-derivatives of chi^{-1}, of the Sylvester equation and of T_mu
-    ddZ = Z[5:].reshape((4, 4) + Z.shape[1:])
+    ddZ = Z[second]
     dci = (-ci @ dchi @ ci)[:, None]     # d_rho chi^{-1}, broadcast over mu
     ddchi = _sylvester(r, U, -identity_sandwich(ddZ) - dchi[:, None] @ dchi
                        - dchi @ dchi[:, None])
@@ -138,12 +137,12 @@ def gauge_potential(data, t, tol=1e-10):
     """Gauge potential A_mu(t) on the boundary space, shape (4, N, N).
 
     The F-blocks and their exact t-derivatives come from one walk of the
-    gradient flow per marked point (boundary with want_dF).  That of chi
+    gradient flow per marked point (boundary of order 1).  That of chi
     solves chi dchi + dchi chi = -Q^dag dF Q.  An irregular t raises
     IrregularPointError from the checked loop solve.
     """
     t = np.asarray(t, dtype=float)
-    bg = GreensEvaluator(data, t, tol).boundary(want_dF=True)
+    bg = GreensEvaluator(data, t, tol).boundary(order=1)
     A, chi, w, _ = _connection(data, bg)
     return GaugePotential(t=tuple(float(x) for x in t), A=A, chi=chi,
                           chi_min_eigenvalue=float(w.min()),
@@ -174,7 +173,7 @@ def curvature(data, t, tol=1e-10):
     """Curvature F_{mu nu} = d_mu A_nu - d_nu A_mu + [A_mu, A_nu] at t, in
     closed form from one sweep of the second-order jet flow 'ddfinv'."""
     t = np.asarray(t, dtype=float)
-    bg = GreensEvaluator(data, t, tol).boundary(want_ddF=True)
+    bg = GreensEvaluator(data, t, tol).boundary(order=2)
     A, _, _, dA = _connection(data, bg)
     return Curvature(t=tuple(float(x) for x in t), F=field_strength(A, dA))
 

@@ -55,92 +55,76 @@ class GreensEvaluator(monodromy.Propagator):
         return np.linalg.solve(A, rhs)
 
     def loop_solution(self, tag, alpha):
-        """(iota - id)^{-1} pi_1: source columns of the based loop, (2m, m).
+        """(iota - id)^{-1} pi_1: source columns of the based loop, stacked
+        as d_s K in the state order of nahm.jet_states.
 
-        For a jet flow ('dfinv', 'ddfinv'), whose loop carries the finv loop
-        iota on the diagonal and every d_s iota in its last block column,
-        the stacked d_s K in the state order of nahm.jet_states: K from the
-        diagonal block, then by block back-substitution through the same
-        checked inverse, order by order,
+        The loop of a jet flow carries the loop iota on the diagonal and
+        every d_s iota in its last block column: K comes from the diagonal
+        block, then its derivatives by block back-substitution through the
+        same checked inverse, order by order,
 
             d_s K = -(iota - id)^{-1} sum_a d_a iota d_{s - a} K
 
         over nahm.leibniz_splits(s), e.g. d_nu K = -(iota - id)^{-1}
-        d_nu iota K; one solve per order, its right-hand sides side by side,
-        with the matrix whose condition the solve for K checked.
+        d_nu iota K; one solve per order, its right-hand sides side by side.
+        A flow of jet order 0 has K alone.
         """
         key = (tag, alpha)
         if key not in self._loop_solutions:
-            where = f"{tag} loop at marked point {alpha}"
+            order = nahm.JET[tag]
+            states = nahm.jet_states(order)
             M = self.loop(tag, self.data.lambdas[alpha])
-            if tag in nahm.JET:
-                order = nahm.JET[tag]
-                states = nahm.jet_states(order)
-                m = 2 * self.data.k
-                d_iota = dict(zip(states, M[:, -m:].reshape(-1, m, m)))
-                iota = d_iota[()]
-                K = {(): self._source_solve(iota, where)}
-                for r in range(1, order + 1):
-                    group = [s for s in states if len(s) == r]
-                    rhs = np.stack([-sum(d_iota[a] @ K[rest]
-                                         for a, rest in nahm.leibniz_splits(s))
-                                    for s in group], axis=1)
-                    dK = np.linalg.solve(iota - np.eye(m),
-                                         rhs.reshape(m, -1))
-                    K.update(zip(group, dK.reshape(rhs.shape).swapaxes(0, 1)))
-                self._loop_solutions[key] = np.concatenate([K[s] for s in states])
-            else:
-                self._loop_solutions[key] = self._source_solve(M, where)
+            m = M.shape[0] // len(states)
+            d_iota = dict(zip(states, M[:, -m:].reshape(-1, m, m)))
+            iota = d_iota[()]
+            P1 = np.zeros((m, m // 2), dtype=complex)
+            P1[m // 2:] = np.eye(m // 2)
+            K = {(): self._checked_inverse_apply(
+                iota, P1, f"{tag} loop at marked point {alpha}")}
+            for r in range(1, order + 1):
+                group = [s for s in states if len(s) == r]
+                rhs = np.stack([-sum(d_iota[a] @ K[rest]
+                                     for a, rest in nahm.leibniz_splits(s))
+                                for s in group], axis=1)
+                dK = np.linalg.solve(iota - np.eye(m), rhs.reshape(m, -1))
+                K.update(zip(group, dK.reshape(rhs.shape).swapaxes(0, 1)))
+            self._loop_solutions[key] = np.concatenate([K[s] for s in states])
         return self._loop_solutions[key]
-
-    def _source_solve(self, M, where):
-        m = M.shape[0] // 2
-        P1 = np.zeros((2 * m, m), dtype=complex)
-        P1[m:, :] = np.eye(m)
-        return self._checked_inverse_apply(M, P1, where)
 
     # -- boundary matrices --------------------------------------------------
 
-    def boundary(self, want_G=False, want_dF=False, want_ddF=False):
-        """Blocks F(lambda_beta, lambda_alpha) at every pair of marked points,
-        from one sweep per marked point.
+    def boundary(self, order=0, want_G=False):
+        """Blocks F(lambda_beta, lambda_alpha) at every pair of marked points
+        and their t-derivatives up to `order` (0, 1 or 2), from one sweep
+        per marked point.
 
-        F comes from the finv flow; with want_dF, from the gradient flow
-        'dfinv' instead, whose walk carries (d_0 K, ..., d_3 K, K) from each
-        marked point: d_nu F is the value block of its state nu and F that of
-        state 4, so one sweep yields both.  With want_ddF the second-order
-        jet 'ddfinv' carries d_mu d_nu K as well, so that one sweep yields
-        F, d_nu F and d_mu d_nu F.  G (want_G) comes from the ddagd flow.
+        The sweep walks the finv jet of that order (nahm.FINV_JET) from each
+        marked point, whose states carry d_s K: the value block of state s
+        is d_s F, so one sweep yields F, d_nu F and, at order 2, d_rho d_nu F
+        (BoundaryGreens.jet).  G (want_G) comes from the ddagd flow.
         """
-        dF = ddF = None
-        tag = "ddfinv" if want_ddF else "dfinv" if want_dF else "finv"
-        blocks, diag_defect = self._blocks(tag)
-        F = blocks[-1]
-        if tag in nahm.JET:
-            jet = dict(zip(nahm.jet_states(nahm.JET[tag]), blocks))
-            dF = np.stack([jet[(nu,)] for nu in range(4)])
-            if want_ddF:
-                ddF = np.stack([[jet[tuple(sorted((rho, nu)))]
-                                 for nu in range(4)] for rho in range(4)])
+        if order not in (0, 1, 2):
+            raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+        jet, diag_defect = self._blocks(nahm.FINV_JET[order])
         G = None
         if want_G:
             (G,), defect = self._blocks("ddagd")
             diag_defect = max(diag_defect, defect)
+        F = jet[-1]
         herm = _hermiticity_defect(F)
         scale = max(1.0, float(np.max(np.abs(F))))
         if herm > 1e-8 * scale:
             raise IntegrationError(
                 f"boundary Green's matrix lost hermiticity (defect {herm:.3e}); "
                 "tighten the integrator tolerance")
-        return BoundaryGreens(t=tuple(float(x) for x in self.t), F=F, G=G,
-                              diag_defect=diag_defect, herm_defect=herm, dF=dF,
-                              ddF=ddF)
+        jet.setflags(write=False)
+        return BoundaryGreens(t=tuple(float(x) for x in self.t), jet=jet, G=G,
+                              diag_defect=diag_defect, herm_defect=herm)
 
     def _blocks(self, tag):
-        """Kernel values at every pair of marked points, [c, beta, alpha]
-        per companion state c the flow stacks (five for 'dfinv', 15 for
-        'ddfinv', else one), with the worst diagonal defect of the last
-        state's sweeps."""
+        """Kernel values at every pair of marked points, [s, beta, alpha]
+        per state s of the flow's jet (nahm.jet_states), with the worst
+        diagonal defect of the last state's sweeps."""
         columns, defects = zip(*(self._boundary_sweep(tag, alpha)
                                  for alpha in range(self.data.n)))
         return np.array(columns).transpose(2, 1, 0, 3, 4), max(defects)
@@ -157,8 +141,8 @@ class GreensEvaluator(monodromy.Propagator):
         values and the defect of the last state (the kernel itself).
         """
         n, lam = self.data.n, self.data.lambdas
-        m = 2 * self.data.k if tag == "ddagd" else self.data.k
         K = self.loop_solution(tag, alpha)
+        m = K.shape[1]
         stops = [(beta, lam[beta]) for beta in range(alpha + 1, n)]
         stops += [(beta, lam[beta]) for beta in range(alpha + 1)]
         vals = [None] * n
@@ -181,19 +165,36 @@ class GreensEvaluator(monodromy.Propagator):
 class BoundaryGreens:
     """Marked-point blocks of the Green's functions at one t.
 
-    F[beta, alpha] is k x k; G[beta, alpha] (if requested) is 2k x 2k;
-    dF[nu, beta, alpha] (if requested) is the exact t_nu-derivative of F,
-    ddF[rho, nu, beta, alpha] (if requested) the exact d_rho d_nu F.
-    diag_defect records the worst left/right diagonal disagreement of F
-    and G, herm_defect the block-hermiticity defect of F.
+    jet[s, beta, alpha] is the k x k block d_s F for each state s of
+    nahm.jet_states(order), read-only: F, dF[nu] = d_nu F (order >= 1) and
+    ddF[rho, nu] = d_rho d_nu F (order 2) pick it apart.  G[beta, alpha]
+    (if requested) is 2k x 2k.  diag_defect records the worst left/right
+    diagonal disagreement of F and G, herm_defect the block-hermiticity
+    defect of F.
     """
     t: tuple
-    F: np.ndarray
+    jet: np.ndarray
     G: np.ndarray
     diag_defect: float
     herm_defect: float
-    dF: np.ndarray = None
-    ddF: np.ndarray = None
+
+    @property
+    def order(self):
+        return [len(nahm.jet_states(r)) for r in range(3)].index(len(self.jet))
+
+    @property
+    def F(self):
+        return self.jet[-1]
+
+    @property
+    def dF(self):
+        first, _ = nahm.jet_index(self.order)
+        return None if first is None else self.jet[first]
+
+    @property
+    def ddF(self):
+        _, second = nahm.jet_index(self.order)
+        return None if second is None else self.jet[second]
 
 
 def _hermiticity_defect(blocks):
@@ -263,4 +264,4 @@ def qgq_matrix(data, bg):
 
 def boundary_greens(data, t, tol=1e-10, want_G=False):
     """All marked-point blocks F (and optionally G) at one t."""
-    return GreensEvaluator(data, t, tol).boundary(want_G)
+    return GreensEvaluator(data, t, tol).boundary(want_G=want_G)

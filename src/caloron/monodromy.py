@@ -21,6 +21,8 @@ continuous, the derivative picks up J times the value):
 * finv  : J = i Delta T_0 + (1/2) spin_trace(Q Q^dagger)
 * ddagd : J = kron(id2, i Delta T_0) - sum_j kron(E[j], (Q Q^dagger)_j)
 
+and the t-jets of finv (nahm.JET) jump by the finv map in every state.
+
 An interval transfer is the exact exponential of the constant coefficient
 on a degree-0 interval and an adaptive DP45 integration on the others,
 whose coefficient (nahm.flow_coefficient) is a precomputed Chebyshev
@@ -163,41 +165,26 @@ def transfer(coeff, s0, s1, tol=1e-10, constant=False):
     return Y
 
 
-# 'dfinv' and 'ddfinv': the finv flow augmented by its first, and by its
-# first and second, t-derivatives (nahm.JET); see nahm.flow_coefficient
-_SECOND_ORDER_TAGS = ("finv", "ddagd") + tuple(nahm.JET)
-
-
-def _check_tag(operator_tag):
-    if operator_tag not in _SECOND_ORDER_TAGS:
-        raise ValueError(
-            "operator_tag must be 'finv', 'ddagd', 'dfinv' or 'ddfinv', "
-            f"got {operator_tag!r}")
-
-
-def second_order_jump(data, t, alpha, operator_tag="finv"):
-    """Marked-point jump map [[id, 0], [J, id]] on the companion state.
+def second_order_jump(data, alpha, tag="finv"):
+    """Marked-point jump map of the second-order flow `tag`, kron(id_S,
+    [[id, 0], [J, id]]) on its S stacked companion states (nahm.JET).
 
     J is t-independent: crossing lambda_alpha, the derivative of a kernel
-    element jumps by J times its (continuous) value.  A jet flow ('dfinv',
-    'ddfinv') jumps by kron(id, the finv jump) on its stacked states.
+    element jumps by J times its (continuous) value, in every state of a jet.
     """
-    _check_tag(operator_tag)
-    if operator_tag in nahm.JET:
-        states = len(nahm.jet_states(nahm.JET[operator_tag]))
-        return np.kron(np.eye(states), second_order_jump(data, t, alpha, "finv"))
+    states = nahm.jet_states(nahm.JET[tag])
     dT0 = nahm.jump_T(data, alpha, 0)
     parts = q_spin_parts(data, alpha)
-    if operator_tag == "finv":
-        J = 1j * dT0 + parts[0]  # (1/2) spin_trace(QQ^dag) = parts[0]
-    else:
+    if tag == "ddagd":
         J = kron_spin(np.eye(2), 1j * dT0)
         for j in (1, 2, 3):
             J = J - kron_spin(E[j], parts[j])
+    else:
+        J = 1j * dT0 + parts[0]  # (1/2) spin_trace(QQ^dag) = parts[0]
     m = J.shape[0]
-    out = np.eye(2 * m, dtype=complex)
-    out[m:, :m] = J
-    return out
+    jump = np.eye(2 * m, dtype=complex)
+    jump[m:, :m] = J
+    return np.kron(np.eye(len(states)), jump)
 
 
 def _interval_transfer(data, i, coeff, s0, s1, tol):
@@ -226,22 +213,22 @@ def interval_transfers_first_order(data, which, coefficient, tol):
 
 
 def interval_transfers_second_order(data, operator_tag, coefficient, tol):
-    """Companion-system transfers over each closed interval; coefficient as
-    for interval_transfers_first_order."""
-    _check_tag(operator_tag)
+    """Companion-system transfers over each closed interval of the flow
+    `operator_tag` (one of nahm.JET); coefficient as for
+    interval_transfers_first_order (nahm.flow_coefficient rejects an
+    unknown tag)."""
     return _closed_transfers(data, coefficient, tol)
 
 
 class Propagator:
     """The kernel flows at one (data, t): cached transfers and the circle walk.
 
-    Caches per flow tag ('ddag', 'finv', 'ddagd', 'dfinv', 'ddfinv')
-    the interval transfers and the jump maps, per (tag, interval) the flow
-    coefficient, which the closed and the partial spans of an interval
-    share, and per (tag, interval, s0, s1) the transfer of every partial
-    span, kept in the interval's own coordinate, so that walks from
-    different base points share the spans they have in common.  tol is the
-    DP45 tolerance of the degree>0 intervals.
+    Caches per flow tag (nahm.FLOWS) the interval transfers and the jump
+    maps, per (tag, interval) the flow coefficient, which the closed and the
+    partial spans of an interval share, and per (tag, interval, s0, s1) the
+    transfer of every partial span, kept in the interval's own coordinate,
+    so that walks from different base points share the spans they have in
+    common.  tol is the DP45 tolerance of the degree>0 intervals.
     """
 
     def __init__(self, data, t, tol=1e-10):
@@ -267,7 +254,7 @@ class Propagator:
         if tag == "ddag":
             return None
         if tag not in self._jumps:
-            self._jumps[tag] = [second_order_jump(self.data, self.t, alpha, tag)
+            self._jumps[tag] = [second_order_jump(self.data, alpha, tag)
                                 for alpha in range(self.data.n)]
         return self._jumps[tag]
 
@@ -323,8 +310,15 @@ class Propagator:
         """Full-circle transfer based at y.
 
         A base point on a marked point gets its own jump once, at the end.
+        A loop that overflows (its norm grows like e^{2 pi |t|}) raises
+        IntegrationError.
         """
-        return self.walk(tag, y, [locate(self.data, y)])[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            M = self.walk(tag, y, [locate(self.data, y)])[0]
+        if not np.all(np.isfinite(M)):
+            raise IntegrationError(
+                f"non-finite {tag} loop based at s = {y:.6g}", location=y)
+        return M
 
     def path_matrix(self, tag, y, x):
         """Transport from y to x, x in (y, y + 2*pi] up to winding.

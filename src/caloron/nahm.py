@@ -346,9 +346,13 @@ def _cheb_basis(P):
     return V, Vinv
 
 
-# the t-jet flows of finv and their orders: 'dfinv' carries the gradient,
-# 'ddfinv' the gradient and the second derivatives as well
-JET = {"dfinv": 1, "ddfinv": 2}
+# the finv flow's t-jets by order: the flow itself, 'dfinv' with its
+# gradient, 'ddfinv' with the second derivatives as well
+FINV_JET = ("finv", "dfinv", "ddfinv")
+# every second-order flow with the order of its t-jet ('ddagd', the 2k-dim
+# lift of finv, carries none), and every flow: 'ddag' is the first-order one
+JET = {"ddagd": 0, **{tag: order for order, tag in enumerate(FINV_JET)}}
+FLOWS = ("ddag",) + tuple(JET)
 
 
 @lru_cache(maxsize=None)
@@ -358,6 +362,18 @@ def jet_states(order):
     for the flow itself."""
     return tuple(s for r in range(order, -1, -1)
                  for s in combinations_with_replacement(range(4), r))
+
+
+@lru_cache(maxsize=None)
+def jet_index(order):
+    """Positions in jet_states(order) of the first derivatives d_nu, (4,),
+    and of the second derivatives d_rho d_nu, (4, 4), symmetric in (rho,
+    nu); None where the order does not reach."""
+    pos = {s: c for c, s in enumerate(jet_states(order))}
+    first = np.array([pos[(nu,)] for nu in range(4)]) if order >= 1 else None
+    second = (np.array([[pos[tuple(sorted((rho, nu)))] for nu in range(4)]
+                        for rho in range(4)]) if order >= 2 else None)
+    return first, second
 
 
 @lru_cache(maxsize=None)
@@ -410,7 +426,7 @@ def _flow_matrices(tag, A, dA0):
     M[:, :m, m:] = np.eye(m)
     M[:, m:, :m] = C
     M[:, m:, m:] = B2
-    if tag not in JET:
+    if not JET[tag]:
         return M
     # d_nu C = 2 (T_nu + t_nu), d_0 B = 2i, d_mu d_mu C = 2
     dM = np.zeros((4,) + M.shape, dtype=complex)
@@ -422,22 +438,18 @@ def _flow_matrices(tag, A, dA0):
 
 
 def flow_coefficient(data, t, i, tag):
-    """Coefficient s -> M(s) of the kernel flow `tag` on interval i.
+    """Coefficient s -> M(s) of the kernel flow `tag` (FLOWS) on interval i.
 
     s is in the interval's own coordinate, [a_i, b_i] of interval_bounds,
-    clipped to it.  The first-order tag 'ddag' gives the Weyl matrix of
-    D^dagger, kron(id2, i (T_0+t_0)) - sum_j kron(sigma_j, T_j+t_j); the
-    second-order tags give the companion matrix [[0, id], [C, B]] with
-    C = i T_0' + (T_0+t_0)^2 + sum_j (T_j+t_j)^2 and B = 2i (T_0+t_0),
-    lifted by kron(id2, .) for 'ddagd'.  The jet
-    tags of JET augment the finv flow by its t-derivatives: 'dfinv' on the
-    state (d_0 Y, d_1 Y, d_2 Y, d_3 Y, Y), with M on the five diagonal
-    blocks and d_nu M in block (nu, 4), d_nu C = 2 (T_nu+t_nu) and
-    d_0 B = 2i; 'ddfinv' on the 15 states (d_mu d_nu Y for mu <= nu,
-    d_nu Y, Y), where a pair (mu, nu) also couples d_mu M into state nu and
-    d_nu M into state mu, and d_mu d_mu C = 2 into Y.  A transfer then
-    carries every d_s Y in the last block column and Y on the diagonal
-    (Van Loan, IEEE TAC 23 (1978) 395).
+    clipped to it.  'ddag' gives the Weyl matrix of D^dagger,
+    kron(id2, i (T_0+t_0)) - sum_j kron(sigma_j, T_j+t_j); the second-order
+    flows the companion matrix [[0, id], [C, B]] with C = i T_0' + (T_0+t_0)^2
+    + sum_j (T_j+t_j)^2 and B = 2i (T_0+t_0), lifted by kron(id2, .) for
+    'ddagd'.  A flow of jet order r > 0 (JET) carries the finv flow's
+    t-derivatives up to order r on the states jet_states(r), coupled by
+    d_nu C = 2 (T_nu+t_nu), d_0 B = 2i and d_mu d_mu C = 2 (_jet); a
+    transfer then carries every d_s Y in the last block column and Y on the
+    diagonal (Van Loan, IEEE TAC 23 (1978) 395).
 
     M is a polynomial in the interval's variable u of degree d (first
     order) or 2d (second order, quadratic in T) for T of degree d, so it is
@@ -449,7 +461,7 @@ def flow_coefficient(data, t, i, tag):
     t = np.asarray(t, dtype=float)
     if t.shape != (4,):
         raise ValueError("t must be a 4-vector (t0, t1, t2, t3)")
-    if tag not in ("ddag", "finv", "ddagd") + tuple(JET):
+    if tag not in FLOWS:
         raise ValueError(f"unknown flow tag {tag!r}")
     iv = data.intervals[i]
     a, b = data.interval_bounds(i)

@@ -16,7 +16,6 @@ import numpy as np
 from . import connection, greens, monodromy, nahm
 from .errors import ConfigError, IntegrationError
 from .nahm import TWO_PI, eval_T
-from .spin import E, kron_spin
 
 _UNIT = np.eye(4)
 
@@ -76,55 +75,36 @@ def _node_values(data, t, N):
     return A0, W, idx_marked
 
 
-def dense_second_order(data, t, N, operator_tag="finv"):
-    """Dense hermitian discretization of the second-order operator on an
-    N-point periodic grid (marked points must be grid nodes).
+def dense_second_order(data, t, N):
+    """Dense hermitian discretization of the finv operator on an N-point
+    periodic grid (marked points must be grid nodes).
 
     Uses the compact 3-point laplacian, the symmetrized first-order part
     i (A Dc + Dc A) with the central difference Dc, multiplication terms
     averaged at marked nodes, and the marked-point potentials as 1/h
     times the jump coefficient on the node.
     """
-    if operator_tag not in ("finv", "ddagd"):
-        raise ValueError(
-            f"operator_tag must be 'finv' or 'ddagd', got {operator_tag!r}")
     k = data.k
     h = TWO_PI / N
     A0, W, idx_marked = _node_values(data, t, N)
-    m = k if operator_tag == "finv" else 2 * k
-    dim = N * m
+    dim = N * k
     L = np.zeros((dim, dim), dtype=complex)
-    id2 = np.eye(2)
-
-    def lift(M):
-        return M if operator_tag == "finv" else kron_spin(id2, M)
-
-    eye_m = np.eye(m)
+    eye_k = np.eye(k)
     for i in range(N):
         ip, im_ = (i + 1) % N, (i - 1) % N
-        sl = slice(i * m, (i + 1) * m)
+        sl = slice(i * k, (i + 1) * k)
         # compact laplacian -d^2/ds^2
-        L[sl, sl] += (2.0 / h ** 2) * eye_m
-        L[sl, ip * m:(ip + 1) * m] += (-1.0 / h ** 2) * eye_m
-        L[sl, im_ * m:(im_ + 1) * m] += (-1.0 / h ** 2) * eye_m
+        L[sl, sl] += (2.0 / h ** 2) * eye_k
+        L[sl, ip * k:(ip + 1) * k] += (-1.0 / h ** 2) * eye_k
+        L[sl, im_ * k:(im_ + 1) * k] += (-1.0 / h ** 2) * eye_k
         # i (A Dc + Dc A), Dc the central difference
-        Ai = lift(A0[i])
-        Aip = lift(A0[ip])
-        Aim = lift(A0[im_])
-        L[sl, ip * m:(ip + 1) * m] += 1j * (Ai + Aip) / (2.0 * h)
-        L[sl, im_ * m:(im_ + 1) * m] += -1j * (Ai + Aim) / (2.0 * h)
+        L[sl, ip * k:(ip + 1) * k] += 1j * (A0[i] + A0[ip]) / (2.0 * h)
+        L[sl, im_ * k:(im_ + 1) * k] += -1j * (A0[i] + A0[im_]) / (2.0 * h)
         # multiplication terms A^2 + sum (T_j + t_j)^2
-        L[sl, sl] += lift(A0[i] @ A0[i] + W[i])
+        L[sl, sl] += A0[i] @ A0[i] + W[i]
     for alpha, node in idx_marked.items():
-        parts = nahm.q_spin_parts(data, alpha)
-        if operator_tag == "finv":
-            V = parts[0]
-        else:
-            V = np.zeros((2 * k, 2 * k), dtype=complex)
-            for j in (1, 2, 3):
-                V = V - kron_spin(E[j], parts[j])
-        sl = slice(node * m, (node + 1) * m)
-        L[sl, sl] += V / h
+        sl = slice(node * k, (node + 1) * k)
+        L[sl, sl] += nahm.q_spin_parts(data, alpha)[0] / h
     return L
 
 
@@ -137,7 +117,7 @@ def dense_greens(data, t, N):
     """
     k = data.k
     h = TWO_PI / N
-    L = dense_second_order(data, t, N, "finv")
+    L = dense_second_order(data, t, N)
     _, _, idx_marked = _node_values(data, t, N)
     n = data.n
     rhs = np.zeros((N * k, n * k), dtype=complex)
@@ -154,7 +134,8 @@ def dense_greens(data, t, N):
                                  alpha * k:(alpha + 1) * k]
     herm = greens._hermiticity_defect(F)
     return greens.BoundaryGreens(t=tuple(float(x) for x in np.asarray(t, float)),
-                                 F=F, G=None, diag_defect=0.0, herm_defect=herm)
+                                 jet=F[None], G=None, diag_defect=0.0,
+                                 herm_defect=herm)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +355,7 @@ def _df_integral(ev, nu, quad_tol, max_panels=64):
 
     with D_j = T_j + t_j and D_0 = i d/ds + T_0 + t_0, on composite
     Gauss-Legendre panels refined until the result moves less than
-    quad_tol; the cross-check of GreensEvaluator.boundary(want_dF=True).
+    quad_tol; the cross-check of GreensEvaluator.boundary(order=1).
     """
     data = ev.data
     n, k = data.n, data.k

@@ -86,7 +86,7 @@ def direct_flow_matrix(data, t, i, tag, u):
         C, B = np.kron(np.eye(2), C), np.kron(np.eye(2), B)
     m = C.shape[0]
     M = np.block([[np.zeros((m, m)), np.eye(m)], [C, B]])
-    if tag not in nahm.JET:
+    if tag not in ("dfinv", "ddfinv"):
         return M
     # the jet by the Leibniz rule, from d_nu M and d_mu d_mu M
     dM = np.zeros((4, 2 * k, 2 * k), dtype=complex)

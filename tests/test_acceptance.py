@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+import caloron
 from caloron import connection, greens, monodromy, nahm, oracle, spin
 
 # five deterministic regular evaluation points on the reference dataset
@@ -63,8 +64,12 @@ def scan(tmp_path_factory, reference):
     cmd = [sys.executable, "-m", "caloron.cli", "selfdual-scan",
            "--config", str(cfg), "--grid", grid, "--jobs", "4",
            "--output", str(out)]
+    # the child imports the package from where this process found it
+    home = os.path.dirname(os.path.dirname(caloron.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [home, os.environ.get("PYTHONPATH")])))
     start = time.perf_counter()
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
     wall = time.perf_counter() - start
     assert proc.returncode == 0, proc.stderr
     return json.loads(out.read_text())["rows"], wall

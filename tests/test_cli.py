@@ -167,6 +167,35 @@ def test_overflowing_point_is_an_integrator_failure(ref_config, capsys):
     assert row["residual"] is None
 
 
+def test_overflowing_loop_is_an_integrator_failure(ref_config, capsys):
+    # at |t| = 120 the loop's norm e^{2 pi |t|} overflows: exit 3, not a
+    # linear-algebra crash, and the scan keeps its ordinary row
+    for command in ("connection", "regularity"):
+        rc, out = run(capsys, command, "--config", ref_config,
+                      "--t", "0.3,120,0,0")
+        assert (rc, out) == (3, ""), command
+    rc, out = run(capsys, "selfdual-scan", "--config", ref_config,
+                  "--grid", "t0=0.3,t1=0.15,t2=0:200:2")
+    assert rc == 0
+    rows = json.loads(out)["rows"]
+    assert [row["status"] for row in rows] == ["ok", "integrator_failure"]
+    assert rows[0]["residual"] < 1e-10 and rows[1]["residual"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ("connection", "--t", "nan,0,0,0"),
+    ("regularity", "--t", "0.3,inf,0,0"),
+    ("selfdual-scan", "--grid", "t1=nan"),
+    ("selfdual-scan", "--grid", "t0=0.3,t2=0:-inf:3"),
+    ("selfdual-scan", "--grid", "t2=-1e308:1e308:3"),   # overflows the step
+])
+def test_non_finite_point_is_a_usage_error(ref_config, capsys, argv):
+    rc = cli.main([argv[0], "--config", ref_config, *argv[1:]])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert "expected finite reals" in captured.err
+
+
 # --------------------------------------------------------------- connection
 
 def test_connection_output(ref_config, capsys):

@@ -80,7 +80,7 @@ def test_df_exact_vs_integral(cases):
     # the augmented walk against the quadrature of -2 int F D_nu F ds
     for data, t in cases:
         ev = greens.GreensEvaluator(data, t)
-        exact = ev.boundary(want_dF=True).dF
+        exact = ev.boundary(order=1).dF
         for nu in range(4):
             quad = oracle._df_integral(ev, nu, quad_tol=1e-8)
             assert np.max(np.abs(exact[nu] - quad)) < 1e-9
@@ -91,7 +91,7 @@ def test_df_exact_vs_integral_on_polynomial_data(poly_case):
     # data; the finv operator is self-adjoint for any hermitian T
     data, t = poly_case
     ev = greens.GreensEvaluator(data, t)
-    exact = ev.boundary(want_dF=True).dF
+    exact = ev.boundary(order=1).dF
     for nu in range(4):
         quad = oracle._df_integral(ev, nu, quad_tol=1e-9)
         assert np.max(np.abs(exact[nu] - quad)) < 1e-8
@@ -108,7 +108,7 @@ def test_potential_chi_matches_boundary_greens(cases, poly_case):
 def test_df_block_hermiticity(reference):
     # dF inherits F's block hermiticity: dF[b,a] = dF[a,b]^dag
     ev = greens.GreensEvaluator(reference, T_REF)
-    for d in ev.boundary(want_dF=True).dF:
+    for d in ev.boundary(order=1).dF:
         for b in range(2):
             for a in range(2):
                 assert np.allclose(d[b, a], d[a, b].conj().T, atol=1e-12)
@@ -133,9 +133,10 @@ def test_gauge_potential_integral_method_agrees(cases, monkeypatch):
     boundary = greens.GreensEvaluator.boundary
     monkeypatch.setattr(
         greens.GreensEvaluator, "boundary",
-        lambda ev, want_dF=False: dataclasses.replace(
-            boundary(ev), dF=np.stack([oracle._df_integral(ev, nu, 1e-8)
-                                       for nu in range(4)])))
+        lambda ev, order=0: dataclasses.replace(
+            boundary(ev), jet=np.concatenate(
+                [np.stack([oracle._df_integral(ev, nu, 1e-8) for nu in range(4)]),
+                 boundary(ev).jet])))
     for (data, t), A in zip(cases, exact):
         quad = con.gauge_potential(data, t).A
         assert np.max(np.abs(A - quad)) < 1e-9
@@ -184,12 +185,12 @@ def test_ddf_exact_vs_fd_of_exact_df(poly_case):
     # the second-order jet against central differences of the exact d_nu F
     # on non-commuting s-dependent data: the error falls as h^2
     data, t = poly_case
-    ddF = greens.GreensEvaluator(data, t).boundary(want_ddF=True).ddF
+    ddF = greens.GreensEvaluator(data, t).boundary(order=2).ddF
     errs = []
     for h in (1e-3, 5e-4):
         fd = np.stack([
-            (greens.GreensEvaluator(data, t + h * e).boundary(want_dF=True).dF
-             - greens.GreensEvaluator(data, t - h * e).boundary(want_dF=True).dF)
+            (greens.GreensEvaluator(data, t + h * e).boundary(order=1).dF
+             - greens.GreensEvaluator(data, t - h * e).boundary(order=1).dF)
             / (2.0 * h) for e in np.eye(4)])
         errs.append(np.max(np.abs(fd - ddF)))
     assert errs[1] < errs[0] / 3.0, errs

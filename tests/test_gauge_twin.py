@@ -133,7 +133,7 @@ def test_twin_df_exact_vs_integral(twin_case):
     # is the quadrature's floor on DP45-integrated data
     _, twin, t = twin_case
     ev = greens.GreensEvaluator(twin, t)
-    exact = ev.boundary(want_dF=True).dF
+    exact = ev.boundary(order=1).dF
     for nu in range(4):
         quad = oracle._df_integral(ev, nu, quad_tol=1e-8)
         assert np.max(np.abs(exact[nu] - quad)) < 1e-8

@@ -6,7 +6,7 @@ import pytest
 from caloron import greens, monodromy, nahm, oracle
 from caloron.errors import IntegrationError, IrregularPointError
 
-from conftest import pointwise_flow, zero_mat
+from conftest import pointwise_flow, random_poly_data, zero_mat
 
 TWO_PI = 2.0 * np.pi
 
@@ -129,6 +129,33 @@ def test_diagonal_check_on_F_ignores_the_scale_of_dF(reference, skew):
         assert ev._boundary_sweep("dfinv", 0)[1] < 1e-9
 
 
+def test_jet_orders_agree(reference):
+    # the order-2 jet's d_nu F and F states are those of the order-1 and
+    # order-0 sweeps; on the degree-3 data each sweep is its own DP45 run,
+    # so the integrator tolerance is tightened to keep them within 1e-12
+    rng = np.random.default_rng(7)
+    poly = random_poly_data(rng)
+    for data, t, tol in [(reference, np.array([0.25, 0.15, -0.2, 0.3]), 1e-10),
+                         (poly, oracle.random_regular_t(poly, rng), 1e-13)]:
+        ev = greens.GreensEvaluator(data, t, tol)
+        jets = [ev.boundary(order=r) for r in range(3)]
+        assert [len(bg.jet) for bg in jets] == [1, 5, 15]
+        assert not (jets[2].jet.flags.writeable or jets[2].F.flags.writeable)
+        assert jets[0].dF is None and jets[1].ddF is None
+        assert np.max(np.abs(jets[2].dF - jets[1].dF)) < 1e-12
+        for bg in jets[1:]:
+            assert np.max(np.abs(bg.F - jets[0].F)) < 1e-12
+        # d_rho d_nu F reads each symmetric pair from one state
+        assert np.array_equal(jets[2].ddF, jets[2].ddF.swapaxes(0, 1))
+
+
+@pytest.mark.parametrize("order", [-1, 3])
+def test_boundary_rejects_other_orders(reference, order):
+    ev = greens.GreensEvaluator(reference, np.array([0.25, 0.15, -0.2, 0.3]))
+    with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
+        ev.boundary(order=order)
+
+
 def test_path_matrix_composition(reference):
     t = np.array([0.25, 0.15, -0.2, 0.3])
     ev = greens.GreensEvaluator(reference, t, tol=1e-12)
@@ -220,7 +247,7 @@ def test_walkers_agree_on_random_data():
                 after = monodromy.transfer(pointwise_flow(data, t, beta, tag),
                                            lam[beta], x, tol)
                 jump = (np.eye(len(before)) if tag == "ddag"
-                        else monodromy.second_order_jump(data, t, beta, tag))
+                        else monodromy.second_order_jump(data, beta, tag))
                 whole = ev.path_matrix(tag, y, x)
                 assert np.max(np.abs(whole - after @ jump @ before)) < 1e-9
                 pieces = (ev.path_matrix(tag, lam[beta], x)

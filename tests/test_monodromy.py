@@ -194,10 +194,9 @@ def test_jump_lift_identity():
     rng = np.random.default_rng(5)
     for k, n in ((1, 2), (2, 2)):
         data = oracle.random_valid_data(rng, k=k, n=n)
-        t = np.zeros(4)
         for alpha in range(n):
-            jf = mon.second_order_jump(data, t, alpha, "finv")[k:, :k]
-            jd = mon.second_order_jump(data, t, alpha, "ddagd")[2 * k:, :2 * k]
+            jf = mon.second_order_jump(data, alpha, "finv")[k:, :k]
+            jd = mon.second_order_jump(data, alpha, "ddagd")[2 * k:, :2 * k]
             q = data.Q[alpha]
             assert np.allclose(np.kron(np.eye(2), jf), jd + q @ q.conj().T,
                                atol=1e-13)
