@@ -32,7 +32,9 @@ Every composed transfer is one walk of a Propagator: from a base point y
 it multiplies interval transfers (and transfers of partial spans) in order
 and applies the jump of every marked point crossed, i.e. those in
 (y, x] for a walk to x; a loop based on a marked point gets its own jump
-applied once, at the end.
+applied once, at the end.  Within one interval, interval_states carries a
+state to many points at once: one stacked exponential on a degree-0
+interval.
 """
 
 from dataclasses import dataclass
@@ -80,15 +82,16 @@ _THETA13 = 5.371920351148152
 def expm(A):
     """Matrix exponential: [13/13] Pade approximant with scaling and squaring.
 
-    A is scaled by 2**-s so that its 1-norm is at most _THETA13, and the
-    approximant of the scaled matrix is squared s times.
+    A is one square matrix or a (..., m, m) stack of them.  Each is scaled
+    by 2**-s so that its 1-norm is at most _THETA13, and the approximant of
+    the scaled matrix is squared s times.
     """
     A = np.asarray(A, dtype=complex)
-    norm = np.abs(A).sum(axis=0).max()
-    s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
-    A = A / 2.0 ** s
+    norm = np.abs(A).sum(axis=-2).max(axis=-1)
+    s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
+    A = A / (2.0 ** s)[..., None, None]
     b = _PADE13
-    ident = np.eye(A.shape[0], dtype=complex)
+    ident = np.eye(A.shape[-1], dtype=complex)
     A2 = A @ A
     A4 = A2 @ A2
     A6 = A4 @ A2
@@ -97,9 +100,21 @@ def expm(A):
     V = (b[0] * ident + b[2] * A2 + b[4] * A4 + b[6] * A6
          + A6 @ (b[8] * A2 + b[10] * A4 + b[12] * A6))
     R = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        R = R @ R
+    for r in range(int(s.max(initial=0))):
+        squared = s > r
+        R = R @ R if squared.all() else np.where(squared[..., None, None], R @ R, R)
     return R
+
+
+def _checked_expm(M, location):
+    """expm of M (one matrix or a stack), IntegrationError unless finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y = expm(M) if np.isfinite(np.abs(M).sum()) else None
+    if Y is None or not np.all(np.isfinite(Y)):
+        raise IntegrationError(
+            f"non-finite exponential of the coefficient at s = {location:.6g}",
+            location=location)
+    return Y
 
 
 def transfer(coeff, s0, s1, tol=1e-10, constant=False):
@@ -114,12 +129,7 @@ def transfer(coeff, s0, s1, tol=1e-10, constant=False):
     if constant:
         with np.errstate(over="ignore", invalid="ignore"):
             M = np.asarray(coeff(s0), dtype=complex) * (s1 - s0)
-            Y = expm(M) if np.isfinite(np.abs(M).sum()) else None
-        if Y is None or not np.all(np.isfinite(Y)):
-            raise IntegrationError(
-                f"non-finite exponential of the coefficient at s = {s0:.6g}",
-                location=s0)
-        return Y
+        return _checked_expm(M, s0)
     span = s1 - s0
     C0 = np.asarray(coeff(s0), dtype=complex)
     m = C0.shape[0]
@@ -270,6 +280,31 @@ class Propagator:
             self._spans[key] = _interval_transfer(
                 self.data, i, self._coefficient(tag, i), s0, s1, self.tol)
         return self._spans[key]
+
+    def interval_states(self, tag, i, s, state):
+        """A state at the start of interval i carried to each of the points
+        s (increasing, in the interval's own coordinate), (len(s), m, w).
+
+        On a degree-0 interval the transfers are one stacked exponential
+        expm(M * (s - a)); on the others the cached DP45 spans between
+        consecutive points are chained.  No marked point is crossed, so no
+        jump applies.
+        """
+        a = self.data.interval_bounds(i)[0]
+        s = np.asarray(s, dtype=float)
+        if self.data.intervals[i].degree == 0:
+            M = np.asarray(self._coefficient(tag, i)(a), dtype=complex)
+            with np.errstate(over="ignore", invalid="ignore"):
+                M = M * (s - a)[:, None, None]
+            return _checked_expm(M, a) @ state
+        out = np.empty((len(s),) + state.shape, dtype=complex)
+        pos = a
+        for q, x in enumerate(s):
+            if x != pos:
+                state = self._span(tag, i, pos, x) @ state
+                pos = x
+            out[q] = state
+        return out
 
     def walk(self, tag, y, stops, state=None):
         """States carried forward from y to each of the stops, in order.

@@ -10,12 +10,13 @@ independent method exists, so agreement is meaningful.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import connection, greens, monodromy, nahm
 from .errors import ConfigError, IntegrationError
-from .nahm import TWO_PI, eval_T
+from .nahm import TWO_PI, eval_T, locate
 
 _UNIT = np.eye(4)
 
@@ -299,16 +300,22 @@ def random_regular_t(data, rng, tol=1e-10, gap=1e-3, tries=50):
 # ---------------------------------------------------------------------------
 # quadrature over the circle, and the integral route to the boundary derivative
 
+@lru_cache(maxsize=None)
+def _leggauss(order):
+    """leggauss(order), computed once per order and read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _gl_nodes(a, b, panels, order=12):
     """Composite Gauss-Legendre nodes and weights on (a, b)."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _leggauss(order)
     edges = np.linspace(a, b, panels + 1)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(half * x + 0.5 * (hi + lo))
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
+    mid = (0.5 * (edges[1:] + edges[:-1]))[:, None]
+    return (half * x + mid).ravel(), (half * w).ravel()
 
 
 def _refine_panels(data, quantity, quad_tol, max_panels, what):
@@ -334,18 +341,20 @@ def _refine_panels(data, quantity, quad_tol, max_panels, what):
         f"per interval")
 
 
-def _node_states(ev, tag, alpha, state, nodes):
-    """States of the walk from lambda_alpha at every node, in base order.
+def _interval_starts(ev, tag, alpha, state):
+    """States of the walk from lambda_alpha (state there) at the start of
+    every interval, right limits; interval alpha starts with state itself."""
+    n, lam = ev.data.n, ev.data.lambdas
+    stops = [(i % n, lam[i % n]) for i in range(alpha + 1, alpha + n)]
+    walked = [state] + ev.walk(tag, lam[alpha], stops, state)
+    return walked[n - alpha:] + walked[:n - alpha]
 
-    nodes[i] holds increasing positions inside interval i; the result
-    lists the states interval by interval from interval 0.
-    """
-    n = ev.data.n
-    order = [i % n for i in range(alpha, alpha + n)]
-    stops = [(i, s) for i in order for s in nodes[i]]
-    states = ev.walk(tag, ev.data.lambdas[alpha], stops, state)
-    split = sum(len(nodes[i]) for i in range(alpha, n))
-    return states[split:] + states[:split]
+
+def _states_at_nodes(ev, tag, starts, nodes):
+    """States at the nodes of every interval from the states at the interval
+    starts, stacked in base order (interval 0 first)."""
+    return np.concatenate([ev.interval_states(tag, i, nodes[i], starts[i])
+                           for i in range(ev.data.n)])
 
 
 def _df_integral(ev, nu, quad_tol, max_panels=64):
@@ -359,27 +368,20 @@ def _df_integral(ev, nu, quad_tol, max_panels=64):
     """
     data = ev.data
     n, k = data.n, data.k
-    tnu = ev.t[nu]
+    starts = [_interval_starts(ev, "finv", alpha, ev.loop_solution("finv", alpha))
+              for alpha in range(n)]
 
     def integral(nodes, weights):
-        states = [_node_states(ev, "finv", alpha,
-                               ev.loop_solution("finv", alpha), nodes)
-                  for alpha in range(n)]
-        out = np.zeros((n, n, k, k), dtype=complex)
-        flat = zip(np.concatenate(nodes), np.concatenate(weights))
-        for q, (s, w) in enumerate(flat):
-            Tnu = eval_T(data, nu, s) + tnu * np.eye(k)
-            vals = [states[alpha][q] for alpha in range(n)]
-            for alpha in range(n):
-                Va = vals[alpha][:k, :]
-                if nu == 0:
-                    rhs = 1j * vals[alpha][k:, :] + Tnu @ Va
-                else:
-                    rhs = Tnu @ Va
-                for beta in range(n):
-                    out[beta, alpha] += w * (vals[beta][:k, :].conj().T @ rhs)
-        out *= -2.0
-        return out
+        # (n, nodes, 2k, k): F(s, l_a) and d_s F(s, l_a) for every alpha
+        states = np.stack([_states_at_nodes(ev, "finv", starts[alpha], nodes)
+                           for alpha in range(n)])
+        vals = states[:, :, :k]
+        Tnu = np.array([eval_T(data, nu, s) for s in np.concatenate(nodes)])
+        rhs = (Tnu + ev.t[nu] * np.eye(k)) @ vals
+        if nu == 0:
+            rhs = rhs + 1j * states[:, :, k:]
+        w = np.concatenate(weights)
+        return -2.0 * np.einsum("q,bqji,aqjl->bail", w, vals.conj(), rhs)
 
     return _refine_panels(data, integral, quad_tol, max_panels,
                           "boundary-derivative quadrature")[0]
@@ -393,63 +395,66 @@ class ZeroModeSet:
     """Normalized kernel frame psi of the adjoint Weyl operator at one t.
 
     psi(s) is (2k, N); the columns satisfy the defining flow between
-    marked points and sum the boundary sources against chi.  gram_defect
-    is | int psi^dag psi ds + chi^2 - id | from the normalization
-    identity.
+    marked points and jump by i Q_alpha chi_alpha at lambda_alpha.
+    gram_defect is | int psi^dag psi ds + chi^2 - id | from the
+    normalization identity.
     """
     t: tuple
     chi: np.ndarray
     gram: np.ndarray
     gram_defect: float
-    _bases: tuple
+    _starts: tuple
     _evaluator: object
 
     def psi(self, s):
-        ev = self._evaluator
-        data = ev.data
-        out = np.zeros((2 * data.k, self.chi.shape[0]), dtype=complex)
-        for alpha, U in enumerate(self._bases):
-            lam = float(data.lambdas[alpha])
-            d = (s - lam) % TWO_PI
-            P = (np.eye(2 * data.k) if d == 0.0
-                 else ev.path_matrix("ddag", lam, lam + d))
-            out += P @ U
-        return -1j * out
+        """psi at s; the right limit on a marked point."""
+        i, x = locate(self._evaluator.data, s)
+        return self._evaluator.interval_states("ddag", i, [x], self._starts[i])[0]
 
 
-def _zero_mode_bases(ev, chi_mat):
-    """Per-marked-point initial data U_alpha = (loop - id)^{-1} Q_alpha chi_alpha."""
+def _zero_mode_starts(ev, chi_mat):
+    """psi at the start of every interval (right limits), from one
+    periodic solve.
+
+    Between marked points psi' = M psi for the D^dagger flow, and at
+    lambda_alpha psi jumps by i Q_alpha chi_alpha, with chi_alpha the rows
+    of chi at alpha's columns.  With the closed interval transfers T_i,
+    psi_{i+1} = T_i psi_i + i Q_{i+1} chi_{i+1}, so going once round from
+    lambda_0 gives (loop - id) psi_0 = -i c, c the sources carried to the
+    end of the circle.  This one solve replaces the sum over marked points
+    psi = -i sum_alpha P(lambda_alpha -> s) (loop_alpha - id)^{-1}
+    Q_alpha chi_alpha: the n based loops are conjugate, so they share the
+    unit-eigenvalue condition that the checked solve guards.
+    """
     data = ev.data
-    offs, N = greens.block_offsets(data)
-    bases = []
-    for alpha in range(data.n):
-        loop = ev.loop("ddag", data.lambdas[alpha])
-        rhs = data.Q[alpha] @ chi_mat[offs[alpha]:offs[alpha] + data.Q[alpha].shape[1], :]
-        bases.append(ev._checked_inverse_apply(
-            loop, rhs, f"ddag loop at marked point {alpha}"))
-    return bases
-
-
-def _psi_at_nodes(ev, bases, nodes):
-    """psi on the nodes of every interval, in base order; list of (2k, N)."""
-    walks = [_node_states(ev, "ddag", alpha, U, nodes)
-             for alpha, U in enumerate(bases)]
-    return [-1j * sum(states) for states in zip(*walks)]
+    n = data.n
+    offs, _ = greens.block_offsets(data)
+    T = ev.interval_transfers("ddag")
+    jumps = [1j * q @ chi_mat[o:o + q.shape[1]] for q, o in zip(data.Q, offs)]
+    c = np.zeros_like(jumps[0])
+    for i in range(n):
+        c = T[i] @ c + jumps[(i + 1) % n]
+    starts = [ev._checked_inverse_apply(ev.loop("ddag", data.lambdas[0]), -c,
+                                        "ddag loop at marked point 0")]
+    for i in range(n - 1):
+        starts.append(T[i] @ starts[i] + jumps[i + 1])
+    return starts
 
 
 def _inner(weights, left, right):
-    """Quadrature sum of w_q left_q^dag right_q over the flattened nodes."""
-    return sum(w * (a.conj().T @ b)
-               for w, a, b in zip(np.concatenate(weights), left, right))
+    """Quadrature sum of w_q left_q^dag right_q over the stacked nodes."""
+    w = np.concatenate(weights)[:, None, None]
+    N = left.shape[-1]
+    return left.reshape(-1, N).conj().T @ (w * right).reshape(-1, N)
 
 
-def _gram(ev, bases, quad_tol, max_panels):
+def _gram(ev, starts, quad_tol, max_panels):
     """Gram integral of psi, refined by panel doubling; (gram, nodes, weights)."""
     def gram(nodes, weights):
-        vals = _psi_at_nodes(ev, bases, nodes)
+        vals = _states_at_nodes(ev, "ddag", starts, nodes)
         return _inner(weights, vals, vals)
     return _refine_panels(ev.data, gram, quad_tol, max_panels,
-                                     "Gram quadrature")
+                          "Gram quadrature")
 
 
 def zero_modes(data, t, quad_tol=1e-8, tol=1e-10, max_panels=64):
@@ -461,13 +466,13 @@ def zero_modes(data, t, quad_tol=1e-8, tol=1e-10, max_panels=64):
     """
     ev = greens.GreensEvaluator(data, t, tol)
     chi_mat = connection.chi_from_boundary(data, ev.boundary())
-    bases = _zero_mode_bases(ev, chi_mat)
+    starts = _zero_mode_starts(ev, chi_mat)
     N = chi_mat.shape[0]
-    gram = _gram(ev, bases, quad_tol, max_panels)[0]
+    gram = _gram(ev, starts, quad_tol, max_panels)[0]
     defect = float(np.max(np.abs(gram + chi_mat @ chi_mat - np.eye(N))))
     return ZeroModeSet(t=tuple(float(x) for x in np.asarray(t, float)),
                        chi=chi_mat, gram=gram, gram_defect=defect,
-                       _bases=tuple(bases), _evaluator=ev)
+                       _starts=tuple(starts), _evaluator=ev)
 
 
 def classical_gauge_potential(data, t, h=1e-4, quad_tol=1e-8, tol=1e-10,
@@ -484,23 +489,21 @@ def classical_gauge_potential(data, t, h=1e-4, quad_tol=1e-8, tol=1e-10,
     def frame(tp):
         ev = greens.GreensEvaluator(data, tp, tol)
         chi_mat = connection.chi_from_boundary(data, ev.boundary())
-        bases = _zero_mode_bases(ev, chi_mat)
-        return ev, chi_mat, bases
+        return ev, chi_mat, _zero_mode_starts(ev, chi_mat)
 
-    ev0, chi0, bases0 = frame(t)
+    ev0, chi0, starts0 = frame(t)
     N = chi0.shape[0]
 
     # fix the panel structure with the center-point Gram integral
-    _, nodes, weights = _gram(ev0, bases0, quad_tol, max_panels)
-    vals0 = _psi_at_nodes(ev0, bases0, nodes)
+    _, nodes, weights = _gram(ev0, starts0, quad_tol, max_panels)
+    vals0 = _states_at_nodes(ev0, "ddag", starts0, nodes)
 
     A = np.zeros((4, N, N), dtype=complex)
     for mu in range(4):
-        evp, chip, basesp = frame(t + h * _UNIT[mu])
-        evm, chim, basesm = frame(t - h * _UNIT[mu])
-        valsp = _psi_at_nodes(evp, basesp, nodes)
-        valsm = _psi_at_nodes(evm, basesm, nodes)
-        dpsi = [(p - m) / (2.0 * h) for p, m in zip(valsp, valsm)]
+        evp, chip, startsp = frame(t + h * _UNIT[mu])
+        evm, chim, startsm = frame(t - h * _UNIT[mu])
+        dpsi = (_states_at_nodes(evp, "ddag", startsp, nodes)
+                - _states_at_nodes(evm, "ddag", startsm, nodes)) / (2.0 * h)
         A[mu] = _inner(weights, vals0, dpsi) + chi0 @ ((chip - chim) / (2.0 * h))
     return connection.GaugePotential(
         t=tuple(float(x) for x in t), A=A, chi=chi0,

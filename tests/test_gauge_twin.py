@@ -140,5 +140,9 @@ def test_twin_df_exact_vs_integral(twin_case):
 
 
 def test_twin_gram_identity(twin_case):
-    _, twin, t = twin_case
-    assert oracle.zero_modes(twin, t).gram_defect < 1e-6
+    # psi^dag psi is gauge invariant, so the Gram matrix is the constant
+    # data's: the degree > 0 (DP45) zero modes against an independent answer
+    data, twin, t = twin_case
+    zm = oracle.zero_modes(twin, t)
+    assert zm.gram_defect < 1e-6
+    assert np.max(np.abs(zm.gram - oracle.zero_modes(data, t).gram)) < 1e-8

@@ -82,6 +82,28 @@ def test_expm_nilpotent_is_exact():
         assert np.array_equal(got, np.array([[1.0, s], [0.0, 1.0]])), s
 
 
+def test_expm_stack_matches_each_matrix():
+    # 1-norms on both sides of the scaling threshold, so that each matrix of
+    # the stack takes its own number of squarings
+    rng = np.random.default_rng(14)
+    A = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    norms = np.array([1e-3, 0.5, 3.0, 10.0, 40.0, 200.0])
+    A *= (norms / np.abs(A).sum(axis=-2).max(axis=-1))[:, None, None]
+    got = mon.expm(A)
+    for X, Y in zip(A, got):
+        assert np.max(np.abs(Y - mon.expm(X))) < 1e-15 * np.max(np.abs(Y))
+    assert np.array_equal(mon.expm(A.reshape(2, 3, 4, 4)), got.reshape(2, 3, 4, 4))
+
+
+def test_interval_states_overflow_raises(reference):
+    # the stacked exponential keeps the non-finite check of transfer(constant=True)
+    prop = mon.Propagator(reference, np.array([0.3, 1e300, 0.0, 0.0]))
+    a, b = reference.interval_bounds(0)
+    with pytest.raises(IntegrationError) as info:
+        prop.interval_states("ddag", 0, [0.5 * (a + b), b], np.eye(2))
+    assert info.value.location == a
+
+
 def test_constant_transfer_matches_dp45():
     rng = np.random.default_rng(13)
     data = oracle.random_valid_data(rng, k=2, n=3)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from caloron import greens, nahm, oracle
-from caloron.errors import ConfigError
+from caloron.errors import ConfigError, IntegrationError, IrregularPointError
+
+from conftest import random_poly_data
 
 TWO_PI = 2.0 * np.pi
 T_REF = np.array([0.25, 0.15, -0.2, 0.3])
@@ -129,15 +131,81 @@ def test_zero_mode_continuity_inside_intervals(reference):
 
 
 def test_zero_mode_jump_at_marked_points(reference):
-    # crossing lambda_alpha, psi jumps; the defect concentrates on Q_alpha
+    # crossing lambda_alpha, psi jumps by i Q_alpha chi_alpha
     zm = oracle.zero_modes(reference, T_REF)
-    lam = reference.lambdas[0]
-    jump = zm.psi(lam + 1e-9) - zm.psi(lam - 1e-9)
-    assert np.max(np.abs(jump)) > 1e-3
-    # the jump lives in the range of Q_alpha
-    q = reference.Q[0]
-    proj = q @ np.linalg.pinv(q)
-    assert np.max(np.abs(jump - proj @ jump)) < 1e-6
+    offs, _ = greens.block_offsets(reference)
+    for alpha, (lam, q) in enumerate(zip(reference.lambdas, reference.Q)):
+        jump = zm.psi(lam + 1e-9) - zm.psi(lam - 1e-9)
+        assert np.max(np.abs(jump)) > 1e-3
+        # the jump lives in the range of Q_alpha
+        proj = q @ np.linalg.pinv(q)
+        assert np.max(np.abs(jump - proj @ jump)) < 1e-6
+        want = 1j * q @ zm.chi[offs[alpha]:offs[alpha] + q.shape[1]]
+        assert np.max(np.abs(jump - want)) < 1e-8
+
+
+def _defining_psi(ev, chi, s):
+    """-i sum_alpha P(lambda_alpha -> s) U_alpha, with one loop solve
+    U_alpha = (loop_alpha - id)^{-1} Q_alpha chi_alpha per marked point and
+    P the walk of path_matrix; the right limit on a marked point."""
+    data = ev.data
+    offs, _ = greens.block_offsets(data)
+    out = 0.0
+    for alpha, q in enumerate(data.Q):
+        lam = float(data.lambdas[alpha])
+        loop = ev.path_matrix("ddag", lam, lam + TWO_PI)
+        U = np.linalg.solve(loop - np.eye(len(loop)),
+                            q @ chi[offs[alpha]:offs[alpha] + q.shape[1]])
+        d = (s - lam) % TWO_PI
+        P = np.eye(len(loop)) if d == 0.0 else ev.path_matrix("ddag", lam, lam + d)
+        out = out + P @ U
+    return -1j * out
+
+
+@pytest.fixture(scope="module", params=["reference", "random", "poly"])
+def psi_case(request, reference):
+    """(data, t, tol): the reference data, criterion 11a's k=2, n=3 data and
+    degree-3 off-shell data.  On the latter, psi at the nodes chains DP45
+    spans that the walk takes in one, so the tolerance is tightened to keep
+    the two within 1e-12."""
+    if request.param == "reference":
+        return reference, T_REF, 1e-10
+    if request.param == "random":
+        rng = np.random.default_rng(42)
+        data = oracle.random_valid_data(rng, k=2, n=3, magnitude=0.3)
+        return data, oracle.random_regular_t(data, rng), 1e-10
+    rng = np.random.default_rng(7)
+    data = random_poly_data(rng, k=2, n=2, degree=3)
+    return data, oracle.random_regular_t(data, rng), 1e-13
+
+
+def test_zero_modes_one_solve_equals_defining_sum(psi_case):
+    # psi from the one periodic solve, at the Gram nodes of every interval
+    # and at the marked points, against the sum over marked points; both
+    # carry roundoff amplified by cond(loop - id), 2e3 to 3e3 here
+    data, t, tol = psi_case
+    zm = oracle.zero_modes(data, t, tol=tol)
+    ev = zm._evaluator
+    nodes = [oracle._gl_nodes(*data.interval_bounds(i), 2)[0] for i in range(data.n)]
+    flat = np.concatenate(nodes)
+    want = np.array([_defining_psi(ev, zm.chi, s) for s in flat])
+    scale = np.max(np.abs(want))
+    stacked = oracle._states_at_nodes(ev, "ddag", zm._starts, nodes)
+    assert np.max(np.abs(stacked - want)) < 1e-12 * scale
+    assert np.max(np.abs(np.array([zm.psi(s) for s in flat]) - want)) < 1e-12 * scale
+    for lam in data.lambdas:
+        assert np.max(np.abs(zm.psi(lam) - _defining_psi(ev, zm.chi, lam))) < 1e-12 * scale
+
+
+def test_zero_modes_reject_irregular_and_overflowing_points(reference, free_data):
+    # the one periodic solve is checked like the loop solves it replaced
+    ev = greens.GreensEvaluator(free_data, np.zeros(4))
+    with pytest.raises(IrregularPointError):
+        oracle._zero_mode_starts(ev, np.eye(1))
+    with pytest.raises(IrregularPointError):
+        oracle.zero_modes(free_data, np.zeros(4))
+    with pytest.raises(IntegrationError):
+        oracle.zero_modes(reference, np.array([0.3, 120.0, 0.0, 0.0]))
 
 
 def test_classical_matches_compact(reference):
