@@ -77,6 +77,12 @@ def _parse_t(text):
     return _finite([float(p) for p in parts], "t")
 
 
+def _positive_int(text):
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _parse_grid(text):
     """Grid string 'axis=start:stop:count,...' -> four value arrays.
 
@@ -109,7 +115,11 @@ def _parse_grid(text):
 
 def _emit(args, text):
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
+        try:
+            fh = open(args.output, "w")
+        except OSError as exc:
+            raise ValueError(f"cannot write --output: {exc}") from None
+        with fh:
             fh.write(text)
             if not text.endswith("\n"):
                 fh.write("\n")
@@ -310,14 +320,14 @@ def build_parser():
     sp.add_argument("--grid", required=True,
                     help="'t0=a:b:n,t1=...,...'; fixed axes as 't2=v'")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--jobs", type=int, default=1,
+    sp.add_argument("--jobs", type=_positive_int, default=1,
                     help="parallel workers (default 1)")
     sp.set_defaults(func=cmd_selfdual_scan)
 
     sp = sub.add_parser("oracle-compare",
                         help="monodromy vs dense-grid boundary blocks")
     common(sp, t=True)
-    sp.add_argument("--N", type=int, required=True,
+    sp.add_argument("--N", type=_positive_int, required=True,
                     help="dense grid size (marked points must be nodes)")
     sp.add_argument("--compare-tol", type=float, default=1e-3,
                     help="pass/fail threshold for the checks (default 1e-3);"

@@ -18,9 +18,9 @@ antiherm_defect reports.
 
 Every t-derivative is exact.  The coefficients of the second-order flow
 are affine or quadratic in t, so the t-jet of every transfer is the last
-block column of the transfer of a Van Loan jet flow, which the circle walk
-carries like any other flow (nahm.flow_coefficient): one sweep of 'dfinv'
-gives F and d_nu F for the potential, one sweep of 'ddfinv' adds
+block column of the transfer of a Van Loan jet flow, which the periodic
+solve carries like any other flow (nahm.flow_coefficient): one solve of
+'dfinv' gives F and d_nu F for the potential, one solve of 'ddfinv' adds
 d_rho d_nu F for the curvature.  Every spin sandwich of a jet is a
 contraction of one stacked boundary_sandwich.  The derivatives of chi
 follow from the square-root equation, chi dchi + dchi chi = -Q^dag dF Q,
@@ -136,8 +136,8 @@ class GaugePotential:
 def gauge_potential(data, t, tol=1e-10):
     """Gauge potential A_mu(t) on the boundary space, shape (4, N, N).
 
-    The F-blocks and their exact t-derivatives come from one walk of the
-    gradient flow per marked point (boundary of order 1).  That of chi
+    The F-blocks and their exact t-derivatives come from one periodic
+    solve of the gradient flow (boundary of order 1).  That of chi
     solves chi dchi + dchi chi = -Q^dag dF Q.  An irregular t raises
     IrregularPointError from the checked loop solve.
     """
@@ -171,7 +171,7 @@ def field_strength(A, dA):
 
 def curvature(data, t, tol=1e-10):
     """Curvature F_{mu nu} = d_mu A_nu - d_nu A_mu + [A_mu, A_nu] at t, in
-    closed form from one sweep of the second-order jet flow 'ddfinv'."""
+    closed form from one solve of the second-order jet flow 'ddfinv'."""
     t = np.asarray(t, dtype=float)
     bg = GreensEvaluator(data, t, tol).boundary(order=2)
     A, _, _, dA = _connection(data, bg)

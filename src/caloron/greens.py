@@ -13,13 +13,15 @@ operator.  G is the same formula for the 2k-dimensional lifted flow
 ('ddagd'), F for the k-dimensional one ('finv').
 
 The boundary Green's matrices collect the blocks F(lambda_beta,
-lambda_alpha) and G(lambda_beta, lambda_alpha), one walk from each
-marked point; sandwiching with the boundary matrices Q gives the N x N
-matrices entering the gauge potential, N = sum of the Q widths.
+lambda_alpha) and G(lambda_beta, lambda_alpha) from one periodic solve
+with a unit source at every marked point (GreensEvaluator.loop_solution):
+the states at the start of every interval are the kernels sourced at all
+marked points, side by side; sandwiching with the boundary matrices Q
+gives the N x N matrices entering the gauge potential, N = sum of the Q
+widths.
 
 All evaluations at a fixed (data, t) share one GreensEvaluator: the
-circle walk and transfer caches of monodromy.Propagator, plus the checked
-loop solves.
+circle walk and transfer caches of monodromy.Propagator.
 """
 
 from dataclasses import dataclass
@@ -40,10 +42,6 @@ def _gap_from_unity(M):
 class GreensEvaluator(monodromy.Propagator):
     """Green's functions at one (data, t) from the cached circle walk."""
 
-    def __init__(self, data, t, tol=1e-10):
-        super().__init__(data, t, tol)
-        self._loop_solutions = {}
-
     def _checked_inverse_apply(self, M, rhs, where):
         A = M - np.eye(M.shape[0])
         cond = np.linalg.cond(A)
@@ -54,61 +52,110 @@ class GreensEvaluator(monodromy.Propagator):
                 gap=_gap_from_unity(M), cond=float(cond))
         return np.linalg.solve(A, rhs)
 
-    def loop_solution(self, tag, alpha):
-        """(iota - id)^{-1} pi_1: source columns of the based loop, stacked
-        as d_s K in the state order of nahm.jet_states.
+    def loop_solution(self, tag, sources):
+        """Periodic solution of flow `tag` with a source at every marked
+        point: its states X_i at the start of every interval (right limits
+        at lambda_i), (n, rows, w), and the closing defect of the flow's own
+        state.
 
-        The loop of a jet flow carries the loop iota on the diagonal and
-        every d_s iota in its last block column: K comes from the diagonal
-        block, then its derivatives by block back-substitution through the
-        same checked inverse, order by order,
+        sources[beta] (rows, w) enters at lambda_beta after the jump, so with
+        the closed interval transfers T_i and jumps J,
+        X_{i+1} = J_{i+1} T_i X_i + S_{i+1}.  One pass sums the carried
+        sources into c, and going once round from lambda_0 gives
+        (iota - id) X_0 = -c, iota the loop based at lambda_0: one checked
+        solve.  A t-jet flow (nahm.JET) stacks the states d_s X in the
+        order of nahm.jet_states; its loop carries iota on the diagonal and
+        every d_s iota in its last block column, so the derivative states
+        follow by block back-substitution through the same matrix,
 
-            d_s K = -(iota - id)^{-1} sum_a d_a iota d_{s - a} K
+            (iota - id) X_s = -c_s - sum_a d_a iota X_rest
 
-        over nahm.leibniz_splits(s), e.g. d_nu K = -(iota - id)^{-1}
-        d_nu iota K; one solve per order, its right-hand sides side by side.
-        A flow of jet order 0 has K alone.
+        over nahm.leibniz_splits(s), one solve per order with its
+        right-hand sides side by side.  The forward recurrence then gives
+        the other starts, and its return to lambda_0 must reproduce the
+        value rows of X_0, state by state at the state's own scale, so that
+        large d_nu F states cannot mask a defect of F; every row of the
+        first-order flow is a value row.
         """
-        key = (tag, alpha)
-        if key not in self._loop_solutions:
-            order = nahm.JET[tag]
-            states = nahm.jet_states(order)
-            M = self.loop(tag, self.data.lambdas[alpha])
-            m = M.shape[0] // len(states)
-            d_iota = dict(zip(states, M[:, -m:].reshape(-1, m, m)))
-            iota = d_iota[()]
-            P1 = np.zeros((m, m // 2), dtype=complex)
-            P1[m // 2:] = np.eye(m // 2)
-            K = {(): self._checked_inverse_apply(
-                iota, P1, f"{tag} loop at marked point {alpha}")}
-            for r in range(1, order + 1):
-                group = [s for s in states if len(s) == r]
-                rhs = np.stack([-sum(d_iota[a] @ K[rest]
-                                     for a, rest in nahm.leibniz_splits(s))
-                                for s in group], axis=1)
-                dK = np.linalg.solve(iota - np.eye(m), rhs.reshape(m, -1))
-                K.update(zip(group, dK.reshape(rhs.shape).swapaxes(0, 1)))
-            self._loop_solutions[key] = np.concatenate([K[s] for s in states])
-        return self._loop_solutions[key]
+        n = self.data.n
+        T, J = self.interval_transfers(tag), self.jumps(tag)
+
+        def across(i, X):
+            X = T[i] @ X
+            return (X if J is None else J[(i + 1) % n] @ X) + sources[(i + 1) % n]
+
+        c = np.zeros_like(sources[0])
+        for i in range(n):
+            c = across(i, c)
+        order = nahm.JET.get(tag, 0)
+        states = nahm.jet_states(order)
+        loop = self.loop(tag, self.data.lambdas[0])
+        m = len(loop) // len(states)
+        d_iota = dict(zip(states, loop[:, -m:].reshape(-1, m, m)))
+        iota = d_iota[()]
+        c = dict(zip(states, c.reshape(len(states), m, -1)))
+        X = {(): self._checked_inverse_apply(
+            iota, -c[()], f"{tag} loop at marked point 0")}
+        for r in range(1, order + 1):
+            group = [s for s in states if len(s) == r]
+            rhs = np.stack([-c[s] - sum(d_iota[a] @ X[rest]
+                                        for a, rest in nahm.leibniz_splits(s))
+                            for s in group], axis=1)
+            dX = np.linalg.solve(iota - np.eye(m), rhs.reshape(m, -1))
+            X.update(zip(group, dX.reshape(rhs.shape).swapaxes(0, 1)))
+        starts = [np.concatenate([X[s] for s in states])]
+        for i in range(n):
+            starts.append(across(i, starts[i]))
+        rows = m if J is None else m // 2
+        first, last = (x.reshape(len(states), m, -1)[:, :rows]
+                       for x in (starts[0], starts.pop()))
+        defects = np.max(np.abs(last - first), axis=(1, 2))
+        scales = np.maximum(1.0, np.max(np.abs(first), axis=(1, 2)))
+        if np.any(defects > _DIAG_TOL * scales):
+            worst = float(np.max(defects[defects > _DIAG_TOL * scales]))
+            raise IntegrationError(
+                f"diagonal limits of the {tag} solution disagree at marked "
+                f"point 0 (closing defect {worst:.3e}); tighten the tolerance")
+        return np.array(starts), float(defects[-1])
+
+    def unit_kicks(self, tag):
+        """Sources of the Green's function of a second-order flow: a unit
+        kick -pi_1 into the derivative rows of the flow's own state at
+        lambda_beta, in column block beta, (n, rows, n v) for v value rows."""
+        n, S = self.data.n, len(nahm.jet_states(nahm.JET[tag]))
+        v = len(self.interval_transfers(tag)[0]) // (2 * S)
+        kicks = np.zeros((n, S, 2, v, n, v), dtype=complex)
+        for beta in range(n):
+            kicks[beta, -1, 1, :, beta] = -np.eye(v)
+        return kicks.reshape(n, 2 * S * v, n * v)
 
     # -- boundary matrices --------------------------------------------------
 
     def boundary(self, order=0, want_G=False):
         """Blocks F(lambda_beta, lambda_alpha) at every pair of marked points
-        and their t-derivatives up to `order` (0, 1 or 2), from one sweep
-        per marked point.
+        and their t-derivatives up to `order` (0, 1 or 2), from one periodic
+        solve with a unit source at every marked point.
 
-        The sweep walks the finv jet of that order (nahm.FINV_JET) from each
-        marked point, whose states carry d_s K: the value block of state s
-        is d_s F, so one sweep yields F, d_nu F and, at order 2, d_rho d_nu F
-        (BoundaryGreens.jet).  G (want_G) comes from the ddagd flow.
+        The solve runs on the finv jet of that order (nahm.FINV_JET), whose
+        states carry d_s F: jet[s, beta, alpha] is the value block of state
+        s at lambda_beta in column block alpha, so one solve yields F,
+        d_nu F and, at order 2, d_rho d_nu F (BoundaryGreens.jet).  G
+        (want_G) comes from the ddagd flow.
         """
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-        jet, diag_defect = self._blocks(nahm.FINV_JET[order])
+
+        def blocks(tag):
+            starts, defect = self.loop_solution(tag, self.unit_kicks(tag))
+            n = len(starts)
+            v = starts.shape[-1] // n
+            vals = starts.reshape(n, -1, 2, v, n, v)[:, :, 0]
+            return vals.transpose(1, 0, 3, 2, 4), defect
+
+        jet, diag_defect = blocks(nahm.FINV_JET[order])
         G = None
         if want_G:
-            (G,), defect = self._blocks("ddagd")
+            (G,), defect = blocks("ddagd")
             diag_defect = max(diag_defect, defect)
         F = jet[-1]
         herm = _hermiticity_defect(F)
@@ -121,45 +168,6 @@ class GreensEvaluator(monodromy.Propagator):
         return BoundaryGreens(t=tuple(float(x) for x in self.t), jet=jet, G=G,
                               diag_defect=diag_defect, herm_defect=herm)
 
-    def _blocks(self, tag):
-        """Kernel values at every pair of marked points, [s, beta, alpha]
-        per state s of the flow's jet (nahm.jet_states), with the worst
-        diagonal defect of the last state's sweeps."""
-        columns, defects = zip(*(self._boundary_sweep(tag, alpha)
-                                 for alpha in range(self.data.n)))
-        return np.array(columns).transpose(2, 1, 0, 3, 4), max(defects)
-
-    def _boundary_sweep(self, tag, alpha):
-        """Values of the kernel sourced at lambda_alpha, at all marked points.
-
-        Walks once around the circle, recording the value blocks of the
-        stacked companion states at every marked point (the jump maps leave
-        values unchanged).  The walk's return to the base point furnishes
-        the left limit of the diagonal; it must agree with the right limit
-        from the loop solve, state by state at the state's own scale, so
-        that large d_nu F blocks cannot mask a defect of F.  Returns the
-        values and the defect of the last state (the kernel itself).
-        """
-        n, lam = self.data.n, self.data.lambdas
-        K = self.loop_solution(tag, alpha)
-        m = K.shape[1]
-        stops = [(beta, lam[beta]) for beta in range(alpha + 1, n)]
-        stops += [(beta, lam[beta]) for beta in range(alpha + 1)]
-        vals = [None] * n
-        for (beta, _), state in zip(stops, self.walk(tag, lam[alpha], stops, K)):
-            vals[beta] = state.reshape(-1, 2 * m, m)[:, :m]
-        final_val = vals[alpha]
-        right = K.reshape(-1, 2 * m, m)[:, :m]
-        defects = np.max(np.abs(final_val - right), axis=(1, 2))
-        scales = np.maximum(1.0, np.max(np.abs(right), axis=(1, 2)))
-        if np.any(defects > _DIAG_TOL * scales):
-            worst = float(np.max(defects[defects > _DIAG_TOL * scales]))
-            raise IntegrationError(
-                f"diagonal limits of the Green's function disagree at marked "
-                f"point {alpha} (defect {worst:.3e}); tighten the tolerance")
-        vals[alpha] = 0.5 * (right + final_val)
-        return vals, float(defects[-1])
-
 
 @dataclass(frozen=True)
 class BoundaryGreens:
@@ -168,9 +176,9 @@ class BoundaryGreens:
     jet[s, beta, alpha] is the k x k block d_s F for each state s of
     nahm.jet_states(order), read-only: F, dF[nu] = d_nu F (order >= 1) and
     ddF[rho, nu] = d_rho d_nu F (order 2) pick it apart.  G[beta, alpha]
-    (if requested) is 2k x 2k.  diag_defect records the worst left/right
-    diagonal disagreement of F and G, herm_defect the block-hermiticity
-    defect of F.
+    (if requested) is 2k x 2k.  diag_defect records the closing defect at
+    lambda_0 of F and G, the larger one (GreensEvaluator.loop_solution),
+    herm_defect the block-hermiticity defect of F.
     """
     t: tuple
     jet: np.ndarray

@@ -32,9 +32,11 @@ Every composed transfer is one walk of a Propagator: from a base point y
 it multiplies interval transfers (and transfers of partial spans) in order
 and applies the jump of every marked point crossed, i.e. those in
 (y, x] for a walk to x; a loop based on a marked point gets its own jump
-applied once, at the end.  Within one interval, interval_states carries a
-state to many points at once: one stacked exponential on a degree-0
-interval.
+applied once, at the end.  Periodic solutions with sources at the marked
+points need only the closed transfers and the loop based at lambda_0
+(greens.GreensEvaluator.loop_solution).  Within one interval,
+interval_states carries a state to many points at once: one stacked
+exponential on a degree-0 interval.
 """
 
 from dataclasses import dataclass
@@ -306,40 +308,31 @@ class Propagator:
             out[q] = state
         return out
 
-    def walk(self, tag, y, stops, state=None):
-        """States carried forward from y to each of the stops, in order.
-
-        stops are (interval, coordinate) locations as nahm.locate returns
-        them, in walk order within (y, y + 2*pi]; a stop at y itself stands
-        for y + 2*pi.  state is the state at y (identity by default).
-        Second-order flows apply the jump of every marked point in
-        (y, stop].
+    def walk(self, tag, y, stop):
+        """Transport from y forward to stop, an (interval, coordinate)
+        location as nahm.locate returns it, within (y, y + 2*pi]; a stop at
+        y itself stands for y + 2*pi.  Second-order flows apply the jump of
+        every marked point in (y, stop].
         """
         data, n = self.data, self.data.n
         T = self.interval_transfers(tag)
         J = self.jumps(tag)
-        if state is None:
-            state = np.eye(len(T[0]), dtype=complex)
-        i0, start = locate(data, y)
-        done, pos = 0, start   # intervals finished, coordinate in the current one
-        out = []
-        for i, s in stops:
-            passes = (i - i0) % n
-            if passes == 0 and s <= start:
-                passes = n
-            while done < passes:
-                j = (i0 + done) % n
-                a, b = data.interval_bounds(j)
-                state = (T[j] if pos == a else self._span(tag, j, pos, b)) @ state
-                if J is not None:
-                    state = J[(j + 1) % n] @ state
-                done += 1
-                pos = data.lambdas[(i0 + done) % n]
-            if s != pos:
-                state = self._span(tag, i, pos, s) @ state
-                pos = s
-            out.append(state)
-        return out
+        i0, pos = locate(data, y)
+        i, s = stop
+        passes = (i - i0) % n
+        if passes == 0 and s <= pos:
+            passes = n
+        state = np.eye(len(T[0]), dtype=complex)
+        for done in range(passes):
+            j = (i0 + done) % n
+            a, b = data.interval_bounds(j)
+            state = (T[j] if pos == a else self._span(tag, j, pos, b)) @ state
+            if J is not None:
+                state = J[(j + 1) % n] @ state
+            pos = data.lambdas[(j + 1) % n]
+        if s != pos:
+            state = self._span(tag, i, pos, s) @ state
+        return state
 
     def loop(self, tag, y):
         """Full-circle transfer based at y.
@@ -349,7 +342,7 @@ class Propagator:
         IntegrationError.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            M = self.walk(tag, y, [locate(self.data, y)])[0]
+            M = self.walk(tag, y, locate(self.data, y))
         if not np.all(np.isfinite(M)):
             raise IntegrationError(
                 f"non-finite {tag} loop based at s = {y:.6g}", location=y)
@@ -369,7 +362,7 @@ class Propagator:
             if turns == 0:
                 return np.eye(len(self.interval_transfers(tag)[0]), dtype=complex)
             return self.loop(tag, y)
-        return self.walk(tag, y, [locate(self.data, y + (x - y) % TWO_PI)])[0]
+        return self.walk(tag, y, locate(self.data, y + (x - y) % TWO_PI))
 
 
 @dataclass(frozen=True)

@@ -123,9 +123,12 @@ def from_dict(cfg):
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ConfigError(f"k: expected a positive integer, got {k!r}")
 
-    lambdas = np.asarray(cfg["lambdas"], dtype=float)
-    if lambdas.ndim != 1 or lambdas.size < 1:
-        raise ConfigError("lambdas: expected a non-empty list of reals")
+    try:
+        lambdas = np.asarray(cfg["lambdas"], dtype=float)
+        if lambdas.ndim != 1 or lambdas.size < 1:
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ConfigError("lambdas: expected a non-empty list of reals") from None
     if not np.all(np.isfinite(lambdas)):
         raise ConfigError("lambdas: non-finite entry")
     if np.any(lambdas < 0.0) or np.any(lambdas >= TWO_PI):

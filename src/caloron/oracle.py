@@ -341,15 +341,6 @@ def _refine_panels(data, quantity, quad_tol, max_panels, what):
         f"per interval")
 
 
-def _interval_starts(ev, tag, alpha, state):
-    """States of the walk from lambda_alpha (state there) at the start of
-    every interval, right limits; interval alpha starts with state itself."""
-    n, lam = ev.data.n, ev.data.lambdas
-    stops = [(i % n, lam[i % n]) for i in range(alpha + 1, alpha + n)]
-    walked = [state] + ev.walk(tag, lam[alpha], stops, state)
-    return walked[n - alpha:] + walked[:n - alpha]
-
-
 def _states_at_nodes(ev, tag, starts, nodes):
     """States at the nodes of every interval from the states at the interval
     starts, stacked in base order (interval 0 first)."""
@@ -368,20 +359,20 @@ def _df_integral(ev, nu, quad_tol, max_panels=64):
     """
     data = ev.data
     n, k = data.n, data.k
-    starts = [_interval_starts(ev, "finv", alpha, ev.loop_solution("finv", alpha))
-              for alpha in range(n)]
+    starts, _ = ev.loop_solution("finv", ev.unit_kicks("finv"))
 
     def integral(nodes, weights):
-        # (n, nodes, 2k, k): F(s, l_a) and d_s F(s, l_a) for every alpha
-        states = np.stack([_states_at_nodes(ev, "finv", starts[alpha], nodes)
-                           for alpha in range(n)])
-        vals = states[:, :, :k]
+        # (nodes, 2k, n k): F(s, l_a) and d_s F(s, l_a), alpha by column block
+        states = _states_at_nodes(ev, "finv", starts, nodes)
+        vals = states[:, :k]
         Tnu = np.array([eval_T(data, nu, s) for s in np.concatenate(nodes)])
         rhs = (Tnu + ev.t[nu] * np.eye(k)) @ vals
         if nu == 0:
-            rhs = rhs + 1j * states[:, :, k:]
+            rhs = rhs + 1j * states[:, k:]
         w = np.concatenate(weights)
-        return -2.0 * np.einsum("q,bqji,aqjl->bail", w, vals.conj(), rhs)
+        return -2.0 * np.einsum("q,qjbi,qjal->bail", w,
+                                vals.conj().reshape(-1, k, n, k),
+                                rhs.reshape(-1, k, n, k))
 
     return _refine_panels(data, integral, quad_tol, max_panels,
                           "boundary-derivative quadrature")[0]
@@ -413,32 +404,16 @@ class ZeroModeSet:
 
 
 def _zero_mode_starts(ev, chi_mat):
-    """psi at the start of every interval (right limits), from one
-    periodic solve.
+    """psi at the start of every interval (right limits), (n, 2k, N).
 
     Between marked points psi' = M psi for the D^dagger flow, and at
     lambda_alpha psi jumps by i Q_alpha chi_alpha, with chi_alpha the rows
-    of chi at alpha's columns.  With the closed interval transfers T_i,
-    psi_{i+1} = T_i psi_i + i Q_{i+1} chi_{i+1}, so going once round from
-    lambda_0 gives (loop - id) psi_0 = -i c, c the sources carried to the
-    end of the circle.  This one solve replaces the sum over marked points
-    psi = -i sum_alpha P(lambda_alpha -> s) (loop_alpha - id)^{-1}
-    Q_alpha chi_alpha: the n based loops are conjugate, so they share the
-    unit-eigenvalue condition that the checked solve guards.
+    of chi at alpha's columns: the periodic solution with those sources
+    (GreensEvaluator.loop_solution).
     """
-    data = ev.data
-    n = data.n
-    offs, _ = greens.block_offsets(data)
-    T = ev.interval_transfers("ddag")
-    jumps = [1j * q @ chi_mat[o:o + q.shape[1]] for q, o in zip(data.Q, offs)]
-    c = np.zeros_like(jumps[0])
-    for i in range(n):
-        c = T[i] @ c + jumps[(i + 1) % n]
-    starts = [ev._checked_inverse_apply(ev.loop("ddag", data.lambdas[0]), -c,
-                                        "ddag loop at marked point 0")]
-    for i in range(n - 1):
-        starts.append(T[i] @ starts[i] + jumps[i + 1])
-    return starts
+    offs, _ = greens.block_offsets(ev.data)
+    sources = [1j * q @ chi_mat[o:o + q.shape[1]] for q, o in zip(ev.data.Q, offs)]
+    return ev.loop_solution("ddag", sources)[0]
 
 
 def _inner(weights, left, right):

@@ -196,6 +196,32 @@ def test_non_finite_point_is_a_usage_error(ref_config, capsys, argv):
     assert "expected finite reals" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ("oracle-compare", "--t", "0,0.7,0,0", "--N", "0"),
+    ("oracle-compare", "--t", "0,0.7,0,0", "--N", "-64"),
+    ("selfdual-scan", "--grid", "t0=0.3,t1=0.4", "--jobs", "-4"),
+    ("selfdual-scan", "--grid", "t0=0.3,t1=0.4", "--jobs", "0"),
+])
+def test_non_positive_counts_are_usage_errors(free_config_path, capsys, argv):
+    # rejected when parsed: no ZeroDivisionError, no silent serial scan
+    rc = cli.main([argv[0], "--config", free_config_path, *argv[1:]])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert "expected a positive integer" in captured.err
+
+
+@pytest.mark.parametrize("command", ["connection", "oracle-compare"])
+def test_unwritable_output_is_a_usage_error(free_config_path, tmp_path, capsys,
+                                            command):
+    dest = tmp_path / "missing" / "x.json"
+    extra = ["--N", "64"] if command == "oracle-compare" else []
+    rc = cli.main([command, "--config", free_config_path, "--t", "0,0.7,0,0",
+                   "--output", str(dest), *extra])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert "No such file or directory" in captured.err and not dest.exists()
+
+
 # --------------------------------------------------------------- connection
 
 def test_connection_output(ref_config, capsys):

@@ -100,33 +100,32 @@ def test_boundary_defects_small(reference):
 
 @pytest.mark.parametrize("skew", [0.0, 1e-6])
 def test_diagonal_check_on_F_ignores_the_scale_of_dF(reference, skew):
-    # d_nu F states blown up by 1e6 beside F: a 1e-6 defect of F's diagonal
-    # limits must still fail the check, which a single scale over all five
-    # stacked states would let through
+    # d_nu F states blown up by 1e6 beside F (the dfinv transfers conjugated
+    # by the state weights, so the periodic solve stays exact): a 1e-6 defect
+    # of F's diagonal limits at the closing must still fail the check, which
+    # a single scale over all five stacked states would let through
     ev = greens.GreensEvaluator(reference, np.array([0.25, 0.15, -0.2, 0.3]))
     m = 2 * reference.k
-    K = ev.loop_solution("dfinv", 0)
-    weight = np.ones((5, 1, 1))
-    weight[:4] = 1e6
-    assert 1e6 * np.max(np.abs(K[:4 * m])) > 1e4 * np.max(np.abs(K[4 * m:]))
+    weight = np.kron(np.diag([1e6] * 4 + [1.0]), np.eye(m))
+    ev._transfers["dfinv"] = [weight @ T @ np.linalg.inv(weight)
+                              for T in ev.interval_transfers("dfinv")]
+    solve = ev._checked_inverse_apply
 
-    def big(state):
-        return (state.reshape(5, m, -1) * weight).reshape(state.shape)
+    def skewed_solve(M, rhs, where):
+        X = solve(M, rhs, where)
+        X[0, 0] += skew         # F's value at lambda_0, off the fixed point
+        return X
 
-    walk = ev.walk
-
-    def skewed_walk(tag, y, stops, state):
-        states = [big(s) for s in walk(tag, y, stops, K)]
-        states[-1][4 * m, 0] += skew        # F's value on the return
-        return states
-
-    ev._loop_solutions[("dfinv", 0)] = big(K)
-    ev.walk = skewed_walk
+    ev._checked_inverse_apply = skewed_solve
+    kicks = ev.unit_kicks("dfinv")
     if skew:
         with pytest.raises(IntegrationError, match="diagonal limits"):
-            ev._boundary_sweep("dfinv", 0)
+            ev.loop_solution("dfinv", kicks)
     else:
-        assert ev._boundary_sweep("dfinv", 0)[1] < 1e-9
+        starts, defect = ev.loop_solution("dfinv", kicks)
+        K = starts[0]
+        assert np.max(np.abs(K[:4 * m])) > 1e4 * np.max(np.abs(K[4 * m:]))
+        assert defect < 1e-9
 
 
 def test_jet_orders_agree(reference):
@@ -147,6 +146,64 @@ def test_jet_orders_agree(reference):
             assert np.max(np.abs(bg.F - jets[0].F)) < 1e-12
         # d_rho d_nu F reads each symmetric pair from one state
         assert np.array_equal(jets[2].ddF, jets[2].ddF.swapaxes(0, 1))
+
+
+@pytest.fixture(scope="module", params=["reference", "random", "poly", "single"])
+def greens_case(request, reference):
+    """(data, t): the reference data, criterion 11a's k=2, n=3 data,
+    degree-3 off-shell data and k=2 data with one marked point."""
+    if request.param == "reference":
+        return reference, np.array([0.25, 0.15, -0.2, 0.3])
+    if request.param == "poly":
+        rng = np.random.default_rng(7)
+        data = random_poly_data(rng)
+    else:
+        rng = np.random.default_rng(42)
+        n = 3 if request.param == "random" else 1
+        data = oracle.random_valid_data(rng, k=2, n=n, magnitude=0.3)
+    return data, oracle.random_regular_t(data, rng)
+
+
+def _defining_blocks(ev, tag):
+    """Value blocks [s, beta, alpha] of pi_2 P(lambda_alpha -> lambda_beta)
+    (iota_alpha - id)^{-1} pi_1 per state s of the flow's jet, with one
+    solve of the whole jet loop based at each lambda_alpha and P the walk
+    of path_matrix."""
+    lam = [float(x) for x in ev.data.lambdas]
+    S = len(nahm.jet_states(nahm.JET[tag]))
+    columns = []
+    for alpha, y in enumerate(lam):
+        loop = ev.path_matrix(tag, y, y + TWO_PI)
+        dim = len(loop)
+        v = dim // (2 * S)
+        P1 = np.zeros((dim, v))
+        P1[dim - v:] = np.eye(v)
+        K = np.linalg.solve(loop - np.eye(dim), P1)
+        columns.append([((np.eye(dim) if beta == alpha else ev.path_matrix(tag, y, x))
+                         @ K).reshape(S, 2 * v, v)[:, :v]
+                        for beta, x in enumerate(lam)])
+    return np.array(columns).transpose(2, 1, 0, 3, 4)
+
+
+def test_boundary_one_solve_equals_per_source_definition(greens_case):
+    # every jet state of F (orders 0 to 2) and G from the one periodic solve
+    # against one solve per marked point, state by state at its own scale.
+    # Both routes carry roundoff amplified by cond(iota - id), 4.8e3 at
+    # most here, and the derivative states once more per order: on the
+    # random case d_rho d_nu F is 1.4e-11 (one solve) and 2.6e-11 (per
+    # source) from a 45-digit reference, so they get 1e-14 cond
+    data, t = greens_case
+    ev = greens.GreensEvaluator(data, t)
+    cond = np.linalg.cond(ev.loop("finv", data.lambdas[0]) - np.eye(2 * data.k))
+    for order, tag in enumerate(nahm.FINV_JET):
+        got = ev.boundary(order=order).jet
+        want = _defining_blocks(ev, tag)
+        for s in range(len(want)):
+            tol = 1e-12 if s == len(want) - 1 else 1e-14 * cond
+            assert np.max(np.abs(got[s] - want[s])) < tol * np.max(np.abs(want[s]))
+    got = ev.boundary(want_G=True).G
+    want = _defining_blocks(ev, "ddagd")[0]
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("order", [-1, 3])

@@ -64,6 +64,8 @@ def test_load_from_path(tmp_path, reference):
     (lambda c: c.pop("k"), "missing"),
     (lambda c: c.update(k=0), "positive"),
     (lambda c: c.update(k=True), "positive"),
+    (lambda c: c.update(lambdas={"a": 1}), "list of reals"),
+    (lambda c: c.update(lambdas=["x"]), "list of reals"),
     (lambda c: c.update(lambdas=[2.0, 1.0]), "increasing"),
     (lambda c: c.update(lambdas=[-0.5, 1.0]), "lie in"),
     (lambda c: c.update(lambdas=[1.0, 7.0]), "lie in"),

@@ -201,7 +201,7 @@ def test_zero_modes_reject_irregular_and_overflowing_points(reference, free_data
     # the one periodic solve is checked like the loop solves it replaced
     ev = greens.GreensEvaluator(free_data, np.zeros(4))
     with pytest.raises(IrregularPointError):
-        oracle._zero_mode_starts(ev, np.eye(1))
+        ev.loop_solution("ddag", np.zeros((1, 2, 1)))
     with pytest.raises(IrregularPointError):
         oracle.zero_modes(free_data, np.zeros(4))
     with pytest.raises(IntegrationError):
