@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
@@ -111,6 +112,17 @@ def _parse_grid(text):
                 raise ValueError(f"bad grid component {item!r}")
             axes[name] = _finite(values, f"grid axis {name}")
     return [axes[f"t{i}"] for i in range(4)]
+
+
+def _check_output(path):
+    """Fail before any work if --output cannot be written; leave no new file."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise ValueError(f"cannot write --output: {exc}") from None
+    if not existed:
+        os.remove(path)
 
 
 def _emit(args, text):
@@ -344,6 +356,8 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
+        if getattr(args, "output", None):
+            _check_output(args.output)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -18,13 +18,13 @@ antiherm_defect reports.
 
 Every t-derivative is exact.  The coefficients of the second-order flow
 are affine or quadratic in t, so the t-jet of every transfer is the last
-block column of the transfer of a Van Loan jet flow, which the periodic
-solve carries like any other flow (nahm.flow_coefficient): one solve of
-'dfinv' gives F and d_nu F for the potential, one solve of 'ddfinv' adds
-d_rho d_nu F for the curvature.  Every spin sandwich of a jet is a
-contraction of one stacked boundary_sandwich.  The derivatives of chi
-follow from the square-root equation, chi dchi + dchi chi = -Q^dag dF Q,
-and its t-derivative,
+block column of the transfer of a Van Loan jet flow
+(nahm.flow_coefficient).  The periodic solve takes a jet order by order,
+all on the block-cyclic matrix of F's own state: 'dfinv' gives F and
+d_nu F for the potential, 'ddfinv' adds d_rho d_nu F for the curvature.
+Every spin sandwich of a jet is a contraction of one stacked
+boundary_sandwich.  The derivatives of chi follow from the square-root
+equation, chi dchi + dchi chi = -Q^dag dF Q, and its t-derivative,
 
     chi d_rho d_mu chi + d_rho d_mu chi chi
         = -Q^dag d_rho d_mu F Q - d_rho chi d_mu chi - d_mu chi d_rho chi,

@@ -1,4 +1,4 @@
-"""Green's functions of the kernel flows via monodromy inversion.
+"""Green's functions of the kernel flows from one periodic block system.
 
 The compact formula needs only the values of the Green's functions at
 pairs of marked points.  For the second-order companion flows the Green's
@@ -13,15 +13,16 @@ operator.  G is the same formula for the 2k-dimensional lifted flow
 ('ddagd'), F for the k-dimensional one ('finv').
 
 The boundary Green's matrices collect the blocks F(lambda_beta,
-lambda_alpha) and G(lambda_beta, lambda_alpha) from one periodic solve
-with a unit source at every marked point (GreensEvaluator.loop_solution):
-the states at the start of every interval are the kernels sourced at all
-marked points, side by side; sandwiching with the boundary matrices Q
-gives the N x N matrices entering the gauge potential, N = sum of the Q
-widths.
+lambda_alpha) and G(lambda_beta, lambda_alpha) from the periodic solution
+with a unit source at every marked point (GreensEvaluator.loop_solution).
+It inverts no loop: its states at the interval starts solve one
+block-cyclic system of the interval transfers and jumps, and they are the
+kernels sourced at all marked points, side by side.  Sandwiching with the
+boundary matrices Q gives the N x N matrices entering the gauge
+potential, N = sum of the Q widths.
 
 All evaluations at a fixed (data, t) share one GreensEvaluator: the
-circle walk and transfer caches of monodromy.Propagator.
+transfer caches of monodromy.Propagator.
 """
 
 from dataclasses import dataclass
@@ -35,88 +36,79 @@ _COND_LIMIT = 1e12
 _DIAG_TOL = 1e-8
 
 
-def _gap_from_unity(M):
-    return float(np.min(np.abs(np.linalg.eigvals(M) - 1.0)))
+def _diagonal_limits(tag, right, left):
+    """Largest defect of the flow's own state between the right and the left
+    limits of a solution at the marked points, both (n, S, rows, w): the
+    value rows of its S stacked states.  IntegrationError unless every state
+    agrees at every marked point to _DIAG_TOL at its own scale there."""
+    defects = np.max(np.abs(left - right), axis=(2, 3))
+    bad = defects > _DIAG_TOL * np.maximum(1.0, np.max(np.abs(right), axis=(2, 3)))
+    if np.any(bad):
+        beta = int(np.argmax(np.where(bad, defects, -1.0)) // bad.shape[1])
+        raise IntegrationError(
+            f"diagonal limits of the {tag} solution disagree at marked point "
+            f"{beta} (defect {np.max(defects[bad]):.3e}); tighten the tolerance")
+    return float(np.max(defects[:, -1]))
 
 
 class GreensEvaluator(monodromy.Propagator):
-    """Green's functions at one (data, t) from the cached circle walk."""
-
-    def _checked_inverse_apply(self, M, rhs, where):
-        A = M - np.eye(M.shape[0])
-        cond = np.linalg.cond(A)
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            raise IrregularPointError(
-                f"monodromy has a (near-)unit eigenvalue at t = "
-                f"{tuple(self.t.tolist())} ({where}; cond = {cond:.3e})",
-                gap=_gap_from_unity(M), cond=float(cond))
-        return np.linalg.solve(A, rhs)
+    """Green's functions at one (data, t) from the cached interval transfers."""
 
     def loop_solution(self, tag, sources):
         """Periodic solution of flow `tag` with a source at every marked
         point: its states X_i at the start of every interval (right limits
-        at lambda_i), (n, rows, w), and the closing defect of the flow's own
-        state.
+        at lambda_i), (n, rows, w), and the largest diagonal-limit defect of
+        the flow's own state.
 
-        sources[beta] (rows, w) enters at lambda_beta after the jump, so with
-        the closed interval transfers T_i and jumps J,
-        X_{i+1} = J_{i+1} T_i X_i + S_{i+1}.  One pass sums the carried
-        sources into c, and going once round from lambda_0 gives
-        (iota - id) X_0 = -c, iota the loop based at lambda_0: one checked
-        solve.  A t-jet flow (nahm.JET) stacks the states d_s X in the
-        order of nahm.jet_states; its loop carries iota on the diagonal and
-        every d_s iota in its last block column, so the derivative states
-        follow by block back-substitution through the same matrix,
+        sources[beta] (rows, w) enters at lambda_beta after the jump, so the
+        starts solve the block-cyclic system X_{i+1} - Phi_i X_i = S_{i+1}
+        (i mod n) for the steps Phi_i = J_{i+1} T_i of the closed transfers
+        and the jumps, conditioned by the dichotomy of the flow rather than
+        its monodromy (Ascher, Mattheij & Russell 1995, ch. 4).  Its block
+        K0 on the flow's own state is (n m)-square, id - iota for n = 1.  A
+        t-jet (nahm.JET) stacks d_s X in nahm.jet_states order, so the
+        system is block triangular by jet order with K0 on the diagonal: one
+        solve per order, right-hand sides side by side, coupled to the lower
+        orders by the off-diagonal blocks of the steps.
 
-            (iota - id) X_s = -c_s - sum_a d_a iota X_rest
-
-        over nahm.leibniz_splits(s), one solve per order with its
-        right-hand sides side by side.  The forward recurrence then gives
-        the other starts, and its return to lambda_0 must reproduce the
-        value rows of X_0, state by state at the state's own scale, so that
-        large d_nu F states cannot mask a defect of F; every row of the
-        first-order flow is a value row.
+        cond(K0) > _COND_LIMIT means a (near-)unit eigenvalue of the loop
+        iota at lambda_0: IrregularPointError with its gap.  At every marked
+        point the left limit Phi_{beta-1} X_{beta-1} + S_beta must give the
+        value rows of X_beta (_diagonal_limits); all rows of the first-order
+        flow are values.
         """
         n = self.data.n
-        T, J = self.interval_transfers(tag), self.jumps(tag)
-
-        def across(i, X):
-            X = T[i] @ X
-            return (X if J is None else J[(i + 1) % n] @ X) + sources[(i + 1) % n]
-
-        c = np.zeros_like(sources[0])
-        for i in range(n):
-            c = across(i, c)
-        order = nahm.JET.get(tag, 0)
-        states = nahm.jet_states(order)
-        loop = self.loop(tag, self.data.lambdas[0])
-        m = len(loop) // len(states)
-        d_iota = dict(zip(states, loop[:, -m:].reshape(-1, m, m)))
-        iota = d_iota[()]
-        c = dict(zip(states, c.reshape(len(states), m, -1)))
-        X = {(): self._checked_inverse_apply(
-            iota, -c[()], f"{tag} loop at marked point 0")}
-        for r in range(1, order + 1):
-            group = [s for s in states if len(s) == r]
-            rhs = np.stack([-c[s] - sum(d_iota[a] @ X[rest]
-                                        for a, rest in nahm.leibniz_splits(s))
-                            for s in group], axis=1)
-            dX = np.linalg.solve(iota - np.eye(m), rhs.reshape(m, -1))
-            X.update(zip(group, dX.reshape(rhs.shape).swapaxes(0, 1)))
-        starts = [np.concatenate([X[s] for s in states])]
-        for i in range(n):
-            starts.append(across(i, starts[i]))
+        T, J = np.array(self.interval_transfers(tag)), self.jumps(tag)
+        steps = T if J is None else np.array(J[1:] + J[:1]) @ T
+        sources = np.asarray(sources)
+        orders = [len(s) for s in nahm.jet_states(nahm.JET.get(tag, 0))]
+        S, (R, w) = len(orders), sources.shape[1:]
+        m = R // S
+        i = np.arange(n)    # X_i couples to X_{i-1}, X_0 to X_{n-1}
+        K0 = np.eye(n * m, dtype=complex)
+        K0.reshape(n, m, n, m)[i, :, i - 1] -= steps[i - 1, -m:, -m:]
+        cond = np.linalg.cond(K0) if np.all(np.isfinite(K0)) else np.inf
+        if not cond <= _COND_LIMIT:
+            eig = np.linalg.eigvals(self.loop(tag, self.data.lambdas[0])[-m:, -m:])
+            raise IrregularPointError(
+                f"monodromy has a (near-)unit eigenvalue at t = "
+                f"{tuple(self.t.tolist())} ({tag} periodic system; cond = {cond:.3e})",
+                gap=float(np.min(np.abs(eig - 1))), cond=float(cond))
+        X = np.zeros((n, S, m, w), dtype=complex)
+        for r in range(orders[0] + 1):
+            a = orders.index(r)
+            b = a + orders.count(r)
+            rhs = sources.reshape(n, S, m, w)[:, a:b]
+            if b < S:   # Phi_{i-1} X_{i-1} of the lower orders at start i
+                lower = steps[:, a * m:b * m, b * m:] @ X[:, b:].reshape(n, -1, w)
+                rhs = rhs + lower[i - 1].reshape(rhs.shape)
+            sol = np.linalg.solve(K0, rhs.transpose(0, 2, 1, 3).reshape(n * m, -1))
+            X[:, a:b] = sol.reshape(n, m, b - a, w).transpose(0, 2, 1, 3)
+        starts = X.reshape(n, R, w)
+        left = (steps @ starts)[i - 1] + sources
         rows = m if J is None else m // 2
-        first, last = (x.reshape(len(states), m, -1)[:, :rows]
-                       for x in (starts[0], starts.pop()))
-        defects = np.max(np.abs(last - first), axis=(1, 2))
-        scales = np.maximum(1.0, np.max(np.abs(first), axis=(1, 2)))
-        if np.any(defects > _DIAG_TOL * scales):
-            worst = float(np.max(defects[defects > _DIAG_TOL * scales]))
-            raise IntegrationError(
-                f"diagonal limits of the {tag} solution disagree at marked "
-                f"point 0 (closing defect {worst:.3e}); tighten the tolerance")
-        return np.array(starts), float(defects[-1])
+        return starts, _diagonal_limits(
+            tag, X[:, :, :rows], left.reshape(X.shape)[:, :, :rows])
 
     def unit_kicks(self, tag):
         """Sources of the Green's function of a second-order flow: a unit
@@ -176,9 +168,10 @@ class BoundaryGreens:
     jet[s, beta, alpha] is the k x k block d_s F for each state s of
     nahm.jet_states(order), read-only: F, dF[nu] = d_nu F (order >= 1) and
     ddF[rho, nu] = d_rho d_nu F (order 2) pick it apart.  G[beta, alpha]
-    (if requested) is 2k x 2k.  diag_defect records the closing defect at
-    lambda_0 of F and G, the larger one (GreensEvaluator.loop_solution),
-    herm_defect the block-hermiticity defect of F.
+    (if requested) is 2k x 2k.  diag_defect records the largest defect
+    between the left and right limits of F and G over the marked points
+    (GreensEvaluator.loop_solution), herm_defect the block-hermiticity
+    defect of F.
     """
     t: tuple
     jet: np.ndarray

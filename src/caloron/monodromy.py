@@ -33,10 +33,11 @@ it multiplies interval transfers (and transfers of partial spans) in order
 and applies the jump of every marked point crossed, i.e. those in
 (y, x] for a walk to x; a loop based on a marked point gets its own jump
 applied once, at the end.  Periodic solutions with sources at the marked
-points need only the closed transfers and the loop based at lambda_0
-(greens.GreensEvaluator.loop_solution).  Within one interval,
-interval_states carries a state to many points at once: one stacked
-exponential on a degree-0 interval.
+points walk no loop: they solve one block-cyclic system of the closed
+transfers and the jumps (greens.GreensEvaluator.loop_solution), and only
+their irregular-point report reads the loop at lambda_0.  Within one
+interval, interval_states carries a state to many points at once: one
+stacked exponential on a degree-0 interval.
 """
 
 from dataclasses import dataclass

@@ -32,9 +32,9 @@ variable u = (2*s - a - b)/(b - a) mapping [a, b] -> [-1, 1].
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -379,35 +379,26 @@ def jet_index(order):
     return first, second
 
 
-@lru_cache(maxsize=None)
-def leibniz_splits(s):
-    """The non-empty sub-multi-indices a of s with their rests, one per
-    choice of positions, so that d_s (X Y) = X d_s Y + sum d_a X d_rest Y."""
-    return tuple((tuple(s[i] for i in pick),
-                  tuple(s[i] for i in range(len(s)) if i not in pick))
-                 for r in range(1, len(s) + 1)
-                 for pick in combinations(range(len(s)), r))
-
-
 def _jet(M, dM, ddM, order):
     """Van Loan matrix of the t-jet of Y' = M Y, (P, S m, S m) for S states.
 
     The state of jet_states(order) with index s obeys the Leibniz rule
-    (d_s Y)' = M d_s Y + sum over leibniz_splits(s) of d_a M d_rest Y; dM
-    holds d_nu M, (4, P, m, m), and ddM the only non-zero second
-    derivative d_mu d_mu M, the same for every mu.
+    (d_s Y)' = M d_s Y + sum over the positions i of s of d_{s_i} M d_rest Y,
+    rest being s without its i-th index, plus d_mu d_mu M Y for s = (mu, mu);
+    dM holds d_nu M, (4, P, m, m), and ddM d_mu d_mu M, the same for every
+    mu and the only non-zero second derivative.
     """
     states = jet_states(order)
     pos = {s: c for c, s in enumerate(states)}
     m = M.shape[-1]
     out = np.kron(np.eye(len(states)), M)
     for c, s in enumerate(states):
-        for a, rest in leibniz_splits(s):
-            if len(a) == 2 and a[0] != a[1]:
-                continue
+        terms = [(s[:i] + s[i + 1:], dM[nu]) for i, nu in enumerate(s)]
+        if len(s) == 2 and s[0] == s[1]:
+            terms.append(((), ddM))
+        for rest, X in terms:
             col = pos[rest]
-            out[:, c * m:(c + 1) * m, col * m:(col + 1) * m] += (
-                dM[a[0]] if len(a) == 1 else ddM)
+            out[:, c * m:(c + 1) * m, col * m:(col + 1) * m] += X
     return out
 
 

@@ -222,6 +222,30 @@ def test_unwritable_output_is_a_usage_error(free_config_path, tmp_path, capsys,
     assert "No such file or directory" in captured.err and not dest.exists()
 
 
+def test_output_is_checked_before_computing(free_config_path, tmp_path, capsys,
+                                            monkeypatch):
+    # an unwritable --output fails before the scan computes a single row,
+    # and a command that fails leaves no file at a writable one
+    calls = []
+    curvature = cli.connection.curvature
+    monkeypatch.setattr(cli.connection, "curvature",
+                        lambda *a, **kw: calls.append(a[1]) or curvature(*a, **kw))
+    dest = tmp_path / "missing" / "rows.json"
+    rc = cli.main(["selfdual-scan", "--config", free_config_path,
+                   "--grid", "t0=0.3,t1=0.2:0.8:4", "--output", str(dest)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, len(calls)) == (1, "", 0)
+    assert "cannot write --output" in captured.err and not dest.parent.exists()
+    dest = tmp_path / "x.json"
+    rc = cli.main(["connection", "--config", free_config_path, "--t", "0,0,0,0",
+                   "--output", str(dest)])
+    assert rc == 4 and not dest.exists()
+    rc = cli.main(["selfdual-scan", "--config", free_config_path,
+                   "--grid", "t0=0.3,t1=0.2:0.8:4", "--output", str(dest)])
+    assert rc == 0 and len(calls) == 4
+    assert len(json.loads(dest.read_text())["rows"]) == 4
+
+
 # --------------------------------------------------------------- connection
 
 def test_connection_output(ref_config, capsys):

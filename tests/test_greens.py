@@ -7,6 +7,7 @@ from caloron import greens, monodromy, nahm, oracle
 from caloron.errors import IntegrationError, IrregularPointError
 
 from conftest import pointwise_flow, random_poly_data, zero_mat
+from test_acceptance import POINTS
 
 TWO_PI = 2.0 * np.pi
 
@@ -85,6 +86,49 @@ def test_irregular_point_raises(free_data):
         greens.boundary_greens(free_data, np.zeros(4))
 
 
+def split_blocks(data, blocks):
+    """Piecewise-constant data with blocks - 1 evenly spaced extra marked
+    points in every interval, each with a zero Q column and so no jump, and
+    the positions of the original marked points among all of them."""
+    lams, intervals, Q = [], [], []
+    for i in range(data.n):
+        a, b = data.interval_bounds(i)
+        for p in range(blocks):
+            lams.append((a + p * (b - a) / blocks) % TWO_PI)
+            intervals.append(data.intervals[i])
+            Q.append(data.Q[i] if p == 0 else np.zeros((2 * data.k, 1), dtype=complex))
+    order = np.argsort(lams)
+    split = nahm.NahmData(k=data.k, lambdas=np.array(lams)[order],
+                          intervals=tuple(intervals[o] for o in order),
+                          Q=tuple(Q[o] for o in order))
+    return split, np.argsort(order)[::blocks]
+
+
+def test_marked_points_without_jump_leave_F_unchanged(reference, free_data):
+    # each extra block is one more row of the periodic system; F at the
+    # original points must not move, also where the single-loop inversion
+    # lost digits (2.3e-9 at r = 2.8 and an IntegrationError at r = 3.5)
+    rnd = oracle.random_valid_data(np.random.default_rng(42), k=2, n=3)
+
+    def rel_gap(data, t, blocks):
+        split, pos = split_blocks(data, blocks)
+        F = greens.boundary_greens(data, t).F
+        got = greens.boundary_greens(split, t).F[np.ix_(pos, pos)]
+        return np.max(np.abs(got - F)) / np.max(np.abs(F))
+
+    for data in (reference, rnd):
+        for blocks in (4, 16):
+            assert max(rel_gap(data, t, blocks) for t in POINTS) < 1e-12
+    for r in (2.8, 3.5):
+        assert rel_gap(reference, np.array([0.3, 0.0, 0.0, r]), 16) < 1e-10
+    split, _ = split_blocks(free_data, 16)
+    lam = split.lambdas
+    for r in (1.0, 4.0, 8.0, 12.0):
+        F = greens.boundary_greens(split, np.array([0.0, 0.0, 0.0, r])).F[:, :, 0, 0]
+        want = [[oracle.free_field_F(r, x, y) for y in lam] for x in lam]
+        assert np.max(np.abs(F - want)) < 1e-14
+
+
 # --------------------------------------------------------- Green's blocks
 
 def test_boundary_defects_small(reference):
@@ -98,28 +142,31 @@ def test_boundary_defects_small(reference):
             assert np.allclose(bg.F[b, a], bg.F[a, b].conj().T, atol=1e-9)
 
 
-@pytest.mark.parametrize("skew", [0.0, 1e-6])
-def test_diagonal_check_on_F_ignores_the_scale_of_dF(reference, skew):
+@pytest.mark.parametrize("skew, beta", [(0.0, 0), (1e-6, 0), (1e-6, 1)],
+                         ids=["0.0", "1e-06", "1e-06-at-lambda1"])
+def test_diagonal_check_on_F_ignores_the_scale_of_dF(reference, monkeypatch,
+                                                     skew, beta):
     # d_nu F states blown up by 1e6 beside F (the dfinv transfers conjugated
     # by the state weights, so the periodic solve stays exact): a 1e-6 defect
-    # of F's diagonal limits at the closing must still fail the check, which
+    # of F's diagonal limits at lambda_beta must still fail the check, which
     # a single scale over all five stacked states would let through
     ev = greens.GreensEvaluator(reference, np.array([0.25, 0.15, -0.2, 0.3]))
     m = 2 * reference.k
     weight = np.kron(np.diag([1e6] * 4 + [1.0]), np.eye(m))
     ev._transfers["dfinv"] = [weight @ T @ np.linalg.inv(weight)
                               for T in ev.interval_transfers("dfinv")]
-    solve = ev._checked_inverse_apply
+    check = greens._diagonal_limits
 
-    def skewed_solve(M, rhs, where):
-        X = solve(M, rhs, where)
-        X[0, 0] += skew         # F's value at lambda_0, off the fixed point
-        return X
+    def skewed_check(tag, right, left):
+        right = right.copy()
+        right[beta, -1, 0, 0] += skew   # F's value at lambda_beta, off the solution
+        return check(tag, right, left)
 
-    ev._checked_inverse_apply = skewed_solve
+    monkeypatch.setattr(greens, "_diagonal_limits", skewed_check)
     kicks = ev.unit_kicks("dfinv")
     if skew:
-        with pytest.raises(IntegrationError, match="diagonal limits"):
+        with pytest.raises(IntegrationError,
+                           match=f"diagonal limits .* marked point {beta}"):
             ev.loop_solution("dfinv", kicks)
     else:
         starts, defect = ev.loop_solution("dfinv", kicks)
