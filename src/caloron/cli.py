@@ -308,7 +308,7 @@ def build_parser():
             sp.add_argument("--t", required=True,
                             help="evaluation point 't0,t1,t2,t3'")
         sp.add_argument("--ode-tol", type=float, default=1e-10,
-                        help="DP45 tolerance on degree>0 intervals (default 1e-10)")
+                        help="DOP853 tolerance on degree>0 intervals (default 1e-10)")
         sp.add_argument("--output", help="write data here instead of stdout")
 
     sp = sub.add_parser("validate", help="check a config file")

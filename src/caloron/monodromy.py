@@ -24,10 +24,11 @@ continuous, the derivative picks up J times the value):
 and the t-jets of finv (nahm.JET) jump by the finv map in every state.
 
 An interval transfer is the exact exponential of the constant coefficient
-on a degree-0 interval and an adaptive DP45 integration on the others,
-whose coefficient (nahm.flow_coefficient) is a precomputed Chebyshev
-series: an evaluation per stage is one small product, and a Propagator
-builds it once per (flow, interval) for all the spans it integrates.
+on a degree-0 interval and an adaptive DOP853 (order 8) integration on the
+others, whose coefficient (nahm.flow_coefficient) is a precomputed
+Chebyshev series: the coefficient at all stages of a step is one small
+product, and a Propagator builds the series once per (flow, interval) for
+all the spans it integrates.
 Every composed transfer is one walk of a Propagator: from a base point y
 it multiplies interval transfers (and transfers of partial spans) in order
 and applies the jump of every marked point crossed, i.e. those in
@@ -50,21 +51,75 @@ from .errors import IntegrationError
 from .nahm import TWO_PI, locate, q_spin_parts
 from .spin import E, kron_spin
 
-# Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = tuple(np.array(row) for row in (
+# DOP853, the explicit Runge-Kutta pair of order 8 with 5th- and 3rd-order
+# error estimators (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10;
+# the coefficients of their dop853 code).  Stage i (from 0) sits at s +
+# _C[i] h and weighs the stages before it by _A[i]; _B gives the 8th-order
+# step, _E5 and _E3 the two estimators (b - bhat, each summing to 0).  The
+# 13th stage, f at (s + h, Y_new), weighs in neither: it is the next step's
+# first (FSAL).
+_C = np.array([
+    0.0,
+    0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0])
+_A = tuple(np.array(row) for row in (
     (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
 ))
-_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-# b - bhat: weights of the embedded 4th-order error estimate
-_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-                  -17253 / 339200, 22 / 525, -1 / 40])
+_B = np.array([
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+    4.45031289275240888144113950566, 1.89151789931450038304281599044,
+    -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+    4.47106157277725905176885569043e-2])
+_E5 = np.array([
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+    -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1])
+# the 3rd-order weights bhat sit on stages 1, 9 and 12 alone
+_E3 = _B - np.array([0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0,
+                     0.0, 0.0, 0.733846688281611857341361741547, 0.0, 0.0,
+                     0.220588235294117647058823529412e-1])
+# the step and both estimators as one real product over the stacked stages
+_WEIGHTS = np.stack([_B, _E5, _E3])
 
 _MIN_STEP_FACTOR = 1e-14
 _MAX_STEPS = 1_000_000
@@ -123,58 +178,71 @@ def _checked_expm(M, location):
 def transfer(coeff, s0, s1, tol=1e-10, constant=False):
     """Transfer matrix of Y' = coeff(s) Y from s0 to s1 (Y(s0) = id).
 
-    coeff maps s to a square complex matrix.  With constant=True coeff is
+    coeff maps a point s to a square complex matrix, and a 1-D array of
+    points to the stack of those matrices.  With constant=True coeff is
     taken to be constant on [s0, s1]: it is evaluated once, at s0, and the
     transfer is the exact exponential expm(coeff(s0) * (s1 - s0)).
-    Otherwise adaptive Dormand-Prince 5(4) with mixed absolute/relative
-    per-step error control at tol.
+    Otherwise adaptive DOP853 (order 8) with mixed absolute/relative
+    max-norm error control at tol: coeff is called once per step attempt,
+    on all its stage points, and a non-finite coefficient or stage raises
+    IntegrationError.
     """
     if constant:
         with np.errstate(over="ignore", invalid="ignore"):
             M = np.asarray(coeff(s0), dtype=complex) * (s1 - s0)
         return _checked_expm(M, s0)
     span = s1 - s0
-    C0 = np.asarray(coeff(s0), dtype=complex)
-    m = C0.shape[0]
-    Y = np.eye(m, dtype=complex)
-    if span == 0.0:
-        return Y
-    direction = 1.0 if span > 0 else -1.0
-    scale = np.max(np.abs(C0)) + 1e-30
-    h = direction * min(abs(span), max(0.1 / scale, 1e-6 * abs(span)))
-    s = s0
-    K1 = C0  # f(s0, id)
-    steps = 0
-    while (s1 - s) * direction > 0:
-        if abs(h) < _MIN_STEP_FACTOR * max(1.0, abs(s)):
-            raise IntegrationError(
-                f"step size underflow at s = {s:.6g}", location=s)
-        steps += 1
-        if steps > _MAX_STEPS:
-            raise IntegrationError(
-                f"step limit exceeded near s = {s:.6g}", location=s)
-        if (s + h - s1) * direction > 0:
-            h = s1 - s
-        # the stages stacked, each weighted sum one real product over them
-        K = np.empty((7, m, m), dtype=complex)
-        Kr = K.reshape(7, m * m).view(float)
-        K[0] = K1
-        for i in range(1, 7):
-            Zi = Y + h * (_DP_A[i] @ Kr[:i]).view(complex).reshape(m, m)
-            K[i] = np.asarray(coeff(s + _DP_C[i] * h), dtype=complex) @ Zi
-        Ynew = Y + h * (_DP_B @ Kr).view(complex).reshape(m, m)
-        err = h * (_DP_E @ Kr).view(complex)
-        sc = tol + tol * max(np.abs(Y).max(), np.abs(Ynew).max())
-        enorm = np.abs(err).max() / sc
-        if enorm <= 1.0:
-            s = s + h
-            Y = Ynew
-            K1 = K[6]  # FSAL: stage 7 was evaluated at (s+h, Ynew)
-            grow = 5.0 if enorm == 0.0 else min(5.0, 0.9 * enorm ** -0.2)
-            h *= grow
-        else:
-            h *= max(0.2, 0.9 * enorm ** -0.2)
-            K1 = K[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        C0 = np.asarray(coeff(s0), dtype=complex)
+        m = C0.shape[0]
+        Y = np.eye(m, dtype=complex)
+        if span == 0.0:
+            return Y
+        direction = 1.0 if span > 0 else -1.0
+        scale = np.max(np.abs(C0)) + 1e-30
+        h = direction * min(abs(span), max(0.1 / scale, 1e-6 * abs(span)))
+        # the stages stacked, each weighted sum one real product over them;
+        # K[0] = f(s, Y), carried over from the last accepted step (FSAL)
+        K = np.empty((len(_C), m, m), dtype=complex)
+        Kr = K.reshape(len(_C), m * m).view(float)
+        K[0] = C0
+        stages = K[1:].shape
+        s, y_max, steps = s0, 1.0, 0
+        while (s1 - s) * direction > 0:
+            if abs(h) < _MIN_STEP_FACTOR * max(1.0, abs(s)):
+                raise IntegrationError(
+                    f"step size underflow at s = {s:.6g}", location=s)
+            steps += 1
+            if steps > _MAX_STEPS:
+                raise IntegrationError(
+                    f"step limit exceeded near s = {s:.6g}", location=s)
+            if (s + h - s1) * direction > 0:
+                h = s1 - s
+            Ms = np.asarray(coeff(s + _C[1:] * h), dtype=complex)
+            if Ms.shape != stages:
+                raise ValueError(f"coeff gave shape {Ms.shape} for the "
+                                 f"stage points, not {stages}")
+            for i in range(1, len(_C)):
+                Z = Y + ((h * _A[i]) @ Kr[:i]).view(complex).reshape(m, m)
+                np.matmul(Ms[i - 1], Z, out=K[i])
+            step, e5, e3 = _WEIGHTS @ Kr
+            Ynew = Y + h * step.view(complex).reshape(m, m)
+            ynew_max = np.abs(Ynew).max()
+            e5, e3 = np.abs(e5.view(complex)).max(), np.abs(e3.view(complex)).max()
+            if not (np.isfinite(e5) and np.isfinite(ynew_max)):
+                raise IntegrationError(
+                    f"non-finite coefficient or stage at s = {s:.6g}", location=s)
+            # dop853's blend of the two estimators, against the max-norm scale
+            sc = tol + tol * max(y_max, ynew_max)
+            enorm = 0.0 if e5 == 0.0 else (
+                abs(h) * e5 / sc * (e5 / np.hypot(e5, 0.1 * e3)))
+            if enorm <= 1.0:
+                s = s + h
+                Y, y_max = Ynew, ynew_max
+                np.matmul(Ms[-1], Y, out=K[0])   # FSAL: f at the new (s, Y)
+                h *= 5.0 if enorm == 0.0 else min(5.0, 0.9 * enorm ** -0.125)
+            else:
+                h *= max(0.2, 0.9 * enorm ** -0.125)
     return Y
 
 
@@ -205,7 +273,7 @@ def _interval_transfer(data, i, coeff, s0, s1, tol):
     [s0, s1], in the interval's own coordinate.
 
     A degree-0 interval has a constant coefficient, whose transfer is the
-    exact exponential; the others are integrated by DP45 at tol.
+    exact exponential; the others are integrated by DOP853 at tol.
     """
     return transfer(coeff, s0, s1, tol, constant=data.intervals[i].degree == 0)
 
@@ -241,7 +309,7 @@ class Propagator:
     partial spans of an interval share, and per (tag, interval, s0, s1) the
     transfer of every partial span, kept in the interval's own coordinate,
     so that walks from different base points share the spans they have in
-    common.  tol is the DP45 tolerance of the degree>0 intervals.
+    common.  tol is the DOP853 tolerance of the degree>0 intervals.
     """
 
     def __init__(self, data, t, tol=1e-10):
@@ -289,7 +357,7 @@ class Propagator:
         s (increasing, in the interval's own coordinate), (len(s), m, w).
 
         On a degree-0 interval the transfers are one stacked exponential
-        expm(M * (s - a)); on the others the cached DP45 spans between
+        expm(M * (s - a)); on the others the cached adaptive spans between
         consecutive points are chained.  No marked point is crossed, so no
         jump applies.
         """

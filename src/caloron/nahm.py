@@ -450,7 +450,10 @@ def flow_coefficient(data, t, i, tag):
     built once, exactly, as a matrix-valued Chebyshev series: its values at
     as many Chebyshev points as it has terms, mapped back to coefficients.
     An evaluation is then one basis-vector times coefficient-matrix product
-    (a degree-0 interval has a one-term series).
+    (a degree-0 interval has a one-term series, which it gives exactly).
+    coeff takes one point s, giving M(s), or a 1-D array of q points,
+    giving the (q, dim, dim) stack of M at them from one basis-matrix
+    product: an adaptive transfer evaluates all stages of a step at once.
     """
     t = np.asarray(t, dtype=float)
     if t.shape != (4,):
@@ -458,7 +461,7 @@ def flow_coefficient(data, t, i, tag):
     if tag not in FLOWS:
         raise ValueError(f"unknown flow tag {tag!r}")
     iv = data.intervals[i]
-    a, b = data.interval_bounds(i)
+    a, b = (float(x) for x in data.interval_bounds(i))
     d = iv.degree
     P = d + 1 if tag == "ddag" else 2 * d + 1
     V, Vinv = _cheb_basis(P)
@@ -470,14 +473,18 @@ def flow_coefficient(data, t, i, tag):
         dA0 = np.tensordot(V[:, :d], dc0, axes=1) * (2.0 / (b - a))
     with np.errstate(over="ignore", invalid="ignore"):
         M = _flow_matrices(tag, A, dA0)   # a non-finite M fails its transfer
-    # real and imaginary parts side by side, so that both products are real
-    dim = M.shape[1]
-    series = Vinv @ M.reshape(P, dim * dim).view(float)
+        # real and imaginary parts side by side, so that both products are real
+        dim = M.shape[1]
+        series = Vinv @ M.reshape(P, dim * dim).view(float)
     orders = np.arange(P)
 
     def coeff(s):
-        u = min(1.0, max(-1.0, (2.0 * s - a - b) / (b - a)))
-        basis = np.cos(orders * math.acos(u))
-        return (basis @ series).view(complex).reshape(dim, dim)
+        if isinstance(s, float):   # one point, without array overhead
+            u = min(1.0, max(-1.0, (2.0 * float(s) - a - b) / (b - a)))
+            basis = np.cos(orders * math.acos(u))
+            return (basis @ series).view(complex).reshape(dim, dim)
+        u = np.clip((2.0 * np.asarray(s, dtype=float) - a - b) / (b - a), -1.0, 1.0)
+        basis = np.cos(np.multiply.outer(np.arccos(u), orders))
+        return (basis @ series).view(complex).reshape(u.shape + (dim, dim))
 
     return coeff

@@ -117,8 +117,31 @@ def direct_flow_matrix(data, t, i, tag, u):
     return out
 
 
+def degree1_config(data):
+    """The config of degree-0 data with every interval rewritten as degree 1,
+    its p = 1 coefficients zero: the same field, but its transfers take the
+    adaptive path."""
+    cfg = nahm.to_dict(data)
+    for interval in cfg["intervals"]:
+        interval["degree"] = 1
+        for coeffs in interval["T"].values():
+            coeffs.append(zero_mat(data.k))
+    return cfg
+
+
+def stacked(coeff):
+    """A coefficient written for one point s, extended to the contract of
+    monodromy.transfer: a 1-D array of points gives the stack of matrices."""
+    def at(s):
+        if np.ndim(s) == 0:
+            return coeff(s)
+        return np.array([coeff(x) for x in s])
+    return at
+
+
 def pointwise_flow(data, t, i, tag):
     """s -> direct_flow_matrix on interval i, s in the interval's own
-    coordinate (interval_bounds)."""
+    coordinate (interval_bounds), stacked over an array of points."""
     a, b = data.interval_bounds(i)
-    return lambda s: direct_flow_matrix(data, t, i, tag, (2.0 * s - a - b) / (b - a))
+    return stacked(lambda s: direct_flow_matrix(data, t, i, tag,
+                                                (2.0 * s - a - b) / (b - a)))

@@ -9,6 +9,8 @@ import pytest
 
 from caloron import cli, monodromy, nahm, oracle
 
+from conftest import degree1_config
+
 
 @pytest.fixture(scope="module")
 def ref_config(tmp_path_factory):
@@ -19,16 +21,10 @@ def ref_config(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def ref_config_degree1(tmp_path_factory):
-    """The reference data as degree-1 intervals with zero p=1 coefficients:
-    the same field, but its transfers take the DP45 path."""
-    cfg = nahm.to_dict(oracle.su2_reference_data())
-    k = cfg["k"]
-    for interval in cfg["intervals"]:
-        interval["degree"] = 1
-        for coeffs in interval["T"].values():
-            coeffs.append([[[0.0, 0.0]] * k for _ in range(k)])
+    """The reference data as degree-1 intervals (conftest.degree1_config):
+    the same field, but its transfers take the adaptive path."""
     p = tmp_path_factory.mktemp("cfg") / "reference_degree1.json"
-    p.write_text(json.dumps(cfg))
+    p.write_text(json.dumps(degree1_config(oracle.su2_reference_data())))
     return str(p)
 
 

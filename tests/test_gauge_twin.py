@@ -130,7 +130,7 @@ def test_twin_curvature_matches_constant_data(twin_case):
 
 def test_twin_df_exact_vs_integral(twin_case):
     # the gradient walk against the quadrature of -2 int F D_nu F ds; 1e-8
-    # is the quadrature's floor on DP45-integrated data
+    # is the quadrature's floor on adaptively integrated data
     _, twin, t = twin_case
     ev = greens.GreensEvaluator(twin, t)
     exact = ev.boundary(order=1).dF
@@ -141,7 +141,7 @@ def test_twin_df_exact_vs_integral(twin_case):
 
 def test_twin_gram_identity(twin_case):
     # psi^dag psi is gauge invariant, so the Gram matrix is the constant
-    # data's: the degree > 0 (DP45) zero modes against an independent answer
+    # data's: the degree > 0 (adaptive) zero modes against an independent answer
     data, twin, t = twin_case
     zm = oracle.zero_modes(twin, t)
     assert zm.gram_defect < 1e-6

@@ -177,7 +177,7 @@ def test_diagonal_check_on_F_ignores_the_scale_of_dF(reference, monkeypatch,
 
 def test_jet_orders_agree(reference):
     # the order-2 jet's d_nu F and F states are those of the order-1 and
-    # order-0 sweeps; on the degree-3 data each sweep is its own DP45 run,
+    # order-0 sweeps; on the degree-3 data each sweep is its own adaptive run,
     # so the integrator tolerance is tightened to keep them within 1e-12
     rng = np.random.default_rng(7)
     poly = random_poly_data(rng)

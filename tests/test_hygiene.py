@@ -1,6 +1,9 @@
 """Source hygiene of the package, checked with the standard library alone."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,3 +33,14 @@ def test_every_import_is_used(path):
 def test_unused_import_is_found():
     tree = ast.parse("import os\nfrom a import b, c as d\nprint(b)\n")
     assert _unused_imports(tree) == [(1, "os"), (2, "d")]
+
+
+def test_package_imports_no_scipy():
+    # scipy is a test-only dependency: the package runs on numpy alone
+    code = ("import sys, caloron.cli, caloron.connection, caloron.greens, "
+            "caloron.oracle; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(caloron.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

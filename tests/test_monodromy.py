@@ -6,32 +6,111 @@ generic solver and check convergence to the jump-composed monodromy.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from caloron import monodromy as mon
 from caloron import nahm, oracle, spin
 from caloron.errors import IntegrationError
 
-from conftest import pointwise_flow, random_poly_data, zero_mat
+from conftest import (degree1_config, pointwise_flow, random_poly_data, stacked,
+                      zero_mat)
 
 TWO_PI = 2.0 * np.pi
 
 
 # ------------------------------------------------------------ integrator
 
+def test_dop853_order_conditions():
+    # consistent nodes, the quadrature conditions of order 8, and estimators
+    # that vanish on constants
+    for i, row in enumerate(mon._A):
+        assert abs(row.sum() - mon._C[i]) < 1e-15, i
+    for q in range(8):
+        assert abs(mon._B @ mon._C ** q - 1.0 / (q + 1)) < 1e-14, q
+    assert abs(mon._E5.sum()) < 1e-15
+    assert abs(mon._E3.sum()) < 1e-15
+    assert mon._C[-1] == 1.0   # the last stage is at s + h, the FSAL point
+
+
+def test_transfer_calls_coeff_once_per_step_attempt():
+    # the first call is the start point alone; every later one holds one
+    # step attempt's stage points s + c h, all at once
+    rng = np.random.default_rng(20)
+    data = random_poly_data(rng)
+    t = rng.uniform(-0.8, 0.8, size=4)
+    coeff = nahm.flow_coefficient(data, t, 0, "dfinv")
+    a, b = data.interval_bounds(0)
+    calls = []
+
+    def counted(s):
+        calls.append(np.array(s))
+        return coeff(s)
+
+    got = mon.transfer(counted, a, b)
+    assert np.array_equal(got, mon.transfer(coeff, a, b))
+    assert calls[0].shape == () and calls[0] == a
+    assert len(calls) > 2
+    ends = {a}
+    for pts in calls[1:]:
+        h = (pts[-1] - pts[0]) / (1.0 - mon._C[1])
+        s = pts[-1] - h
+        assert pts.shape == mon._C[1:].shape
+        assert np.allclose(pts, s + mon._C[1:] * h, rtol=0.0, atol=1e-14)
+        # a step starts where an accepted one ended (or retries its start)
+        assert min(abs(s - e) for e in ends) < 1e-14
+        ends.add(pts[-1])
+    assert abs(calls[-1][-1] - b) < 1e-14
+
+
+def test_transfer_matches_scipy_solve_ivp():
+    # an independent integrator, run far tighter, as the reference of the
+    # adaptive path on non-constant data
+    rng = np.random.default_rng(21)
+    data = random_poly_data(rng)
+    t = rng.uniform(-0.8, 0.8, size=4)
+    for tag in ("dfinv", "ddfinv"):
+        for i in range(data.n):
+            coeff = nahm.flow_coefficient(data, t, i, tag)
+            a, b = data.interval_bounds(i)
+            m = coeff(a).shape[0]
+            sol = solve_ivp(lambda s, y: (coeff(s) @ y.reshape(m, m)).ravel(),
+                            (a, b), np.eye(m, dtype=complex).ravel(),
+                            method="DOP853", rtol=1e-13, atol=1e-13)
+            assert sol.success
+            want = sol.y[:, -1].reshape(m, m)
+            got = mon.transfer(coeff, a, b)
+            assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want)), (tag, i)
+
+
+@pytest.mark.parametrize("t", [(1e200, 0.15, -0.2, 0.3), (0.3, 0.15, -0.2, 1e155)])
+def test_nonfinite_adaptive_transfer_says_so(reference, t):
+    # an overflowing coefficient fails its first step as non-finite (not by
+    # shrinking the step to underflow), and leaks no RuntimeWarning
+    data = nahm.from_dict(degree1_config(reference))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for tag in nahm.FLOWS:
+            with pytest.raises(IntegrationError, match="non-finite") as info:
+                mon.Propagator(data, np.array(t)).interval_transfers(tag)
+            assert info.value.location == data.lambdas[0], tag
+
+
 def test_transfer_constant_coefficient():
     rng = np.random.default_rng(3)
     C = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    got = mon.transfer(lambda s: C, 0.0, 1.7, tol=1e-12)
+    got = mon.transfer(stacked(lambda s: C), 0.0, 1.7, tol=1e-12)
     assert np.max(np.abs(got - expm(1.7 * C))) < 1e-10
 
 
 def test_transfer_scalar_oracle():
     # y' = i s y  =>  y(s1)/y(s0) = exp(i (s1^2 - s0^2) / 2)
-    got = mon.transfer(lambda s: np.array([[1j * s]]), 0.3, 2.1, tol=1e-12)
+    got = mon.transfer(stacked(lambda s: np.array([[1j * s]])), 0.3, 2.1,
+                       tol=1e-12)
     want = np.exp(0.5j * (2.1 ** 2 - 0.3 ** 2))
     assert abs(got[0, 0] - want) < 1e-11
 
@@ -40,6 +119,7 @@ def test_transfer_composition_and_inverse():
     rng = np.random.default_rng(4)
     C = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
 
+    @stacked
     def coeff(s):
         return C * np.cos(s)
 
@@ -55,6 +135,7 @@ def test_transfer_composition_and_inverse():
 def test_transfer_tolerance_scaling():
     C = np.array([[0.0, 1.0], [-4.0, 0.0]], dtype=complex)
 
+    @stacked
     def coeff(s):
         return C * (1.0 + 0.5 * np.sin(3 * s))
 
@@ -104,7 +185,7 @@ def test_interval_states_overflow_raises(reference):
     assert info.value.location == a
 
 
-def test_constant_transfer_matches_dp45():
+def test_constant_transfer_matches_adaptive():
     rng = np.random.default_rng(13)
     data = oracle.random_valid_data(rng, k=2, n=3)
     t = np.array([0.3, 0.2, -0.25, 0.1])
@@ -113,10 +194,10 @@ def test_constant_transfer_matches_dp45():
             coeff = nahm.flow_coefficient(data, t, i, tag)
             a, b = data.interval_bounds(i)
             exact = mon.transfer(coeff, a, b, constant=True)
-            dp45 = mon.transfer(coeff, a, b, tol=1e-12)
-            # mixed absolute/relative, as DP45 controls its error
-            scale = max(1.0, np.max(np.abs(dp45)))
-            assert np.max(np.abs(exact - dp45)) < 1e-9 * scale, (tag, i)
+            adaptive = mon.transfer(coeff, a, b, tol=1e-12)
+            # mixed absolute/relative, as the adaptive path controls its error
+            scale = max(1.0, np.max(np.abs(adaptive)))
+            assert np.max(np.abs(exact - adaptive)) < 1e-9 * scale, (tag, i)
 
 
 def test_constant_transfer_evaluates_coeff_once():
@@ -144,8 +225,8 @@ def test_constant_transfer_overflow_raises():
 def test_transfer_step_limit(monkeypatch):
     monkeypatch.setattr(mon, "_MAX_STEPS", 3)
     with pytest.raises(IntegrationError):
-        mon.transfer(lambda s: np.array([[1j * np.cos(s)]]), 0.0, TWO_PI,
-                     tol=1e-12)
+        mon.transfer(stacked(lambda s: np.array([[1j * np.cos(s)]])), 0.0,
+                     TWO_PI, tol=1e-12)
 
 
 # ------------------------------------------------- first-order monodromy
@@ -323,6 +404,7 @@ def test_delta_potential_against_gaussian_mollifier():
     base = t[0] ** 2 + t[1] ** 2 + t[2] ** 2 + t[3] ** 2
 
     def mollified(width):
+        @stacked
         def coeff(s):
             bump = np.exp(-0.5 * ((s - np.pi) / width) ** 2) \
                 / (width * np.sqrt(TWO_PI))
@@ -341,7 +423,7 @@ def test_delta_potential_against_gaussian_mollifier():
     assert np.max(np.abs(rich - exact)) < 0.2 * errs[2]
     # sanity: the jump actually matters (dropping it moves the answer a lot)
     no_jump = mon.transfer(
-        lambda s: np.array([[0.0, 1.0], [base, 2j * t[0]]], dtype=complex),
+        stacked(lambda s: np.array([[0.0, 1.0], [base, 2j * t[0]]], dtype=complex)),
         0.0, TWO_PI, tol=1e-11)
     assert np.max(np.abs(no_jump - exact)) > 10 * errs[2]
 
@@ -371,6 +453,7 @@ def test_matching_sign_against_smooth_step():
             e2 = _logistic((s - 3 * np.pi / 2) / eps)
             return -0.5 * (e1 * (1 - e1) - e2 * (1 - e2)) / eps
 
+        @stacked
         def coeff(s):
             C = (t[0] ** 2 + t[1] ** 2 + t[2] ** 2
                  + (t3(s) + t[3]) ** 2) * id2 + 1j * dt3(s) * E3

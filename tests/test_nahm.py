@@ -216,3 +216,36 @@ def test_flow_coefficient_series_matches_pointwise_formula(degree):
                 got = coeff(0.5 * (a + b) + 0.5 * (b - a) * u)
                 scale = max(1.0, np.max(np.abs(want)))
                 assert np.max(np.abs(got - want)) < 1e-13 * scale, (tag, i, u)
+
+
+@pytest.mark.parametrize("degree", [0, 3, 16])
+def test_flow_coefficient_stack_matches_scalar_calls(degree):
+    # one call on a step's stage points against one call per point, for
+    # steps inside the interval and across both ends (clipped points)
+    from caloron.monodromy import _C
+    rng = np.random.default_rng(30 + degree)
+    data = random_poly_data(rng, k=2, n=2, degree=degree)
+    t = rng.uniform(-0.8, 0.8, size=4)
+    for i in range(data.n):
+        a, b = data.interval_bounds(i)
+        steps = [(a, 0.3), (0.5 * (a + b), -0.4), (a - 0.2, 0.5), (b - 0.1, 0.4)]
+        for tag in nahm.FLOWS:
+            coeff = nahm.flow_coefficient(data, t, i, tag)
+            for s, h in steps:
+                points = s + _C[1:] * h
+                got = coeff(points)
+                want = np.array([coeff(float(x)) for x in points])
+                assert got.shape == want.shape
+                if degree == 0:
+                    # a one-term series is its coefficient, in either form
+                    assert np.array_equal(got, want), (tag, i, s)
+                    continue
+                # numpy's array arccos and a stacked product round apart
+                # from math.acos and one basis row by a few ulps
+                scale = np.abs(want).max(axis=(1, 2))
+                err = np.abs(got - want).max(axis=(1, 2))
+                assert np.all(err <= 1e-14 * scale), (tag, i, s, np.max(err / scale))
+            # points past an end are clipped to it: all give the same matrix
+            past = coeff(np.array([a - 1.0, a - 0.1, b + 0.1, b + 1.0]))
+            assert np.array_equal(past[0], past[1]), (tag, i)
+            assert np.array_equal(past[2], past[3]), (tag, i)

@@ -165,7 +165,7 @@ def _defining_psi(ev, chi, s):
 @pytest.fixture(scope="module", params=["reference", "random", "poly"])
 def psi_case(request, reference):
     """(data, t, tol): the reference data, criterion 11a's k=2, n=3 data and
-    degree-3 off-shell data.  On the latter, psi at the nodes chains DP45
+    degree-3 off-shell data.  On the latter, psi at the nodes chains adaptive
     spans that the walk takes in one, so the tolerance is tightened to keep
     the two within 1e-12."""
     if request.param == "reference":
