@@ -84,6 +84,15 @@ def _positive_int(text):
     return int(text)
 
 
+def _positive_real(text):
+    try:
+        if 0.0 < float(text) < np.inf:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive finite real, got {text!r}")
+
+
 def _parse_grid(text):
     """Grid string 'axis=start:stop:count,...' -> four value arrays.
 
@@ -307,7 +316,7 @@ def build_parser():
         if t:
             sp.add_argument("--t", required=True,
                             help="evaluation point 't0,t1,t2,t3'")
-        sp.add_argument("--ode-tol", type=float, default=1e-10,
+        sp.add_argument("--ode-tol", type=_positive_real, default=1e-10,
                         help="DOP853 tolerance on degree>0 intervals (default 1e-10)")
         sp.add_argument("--output", help="write data here instead of stdout")
 
@@ -341,7 +350,7 @@ def build_parser():
     common(sp, t=True)
     sp.add_argument("--N", type=_positive_int, required=True,
                     help="dense grid size (marked points must be nodes)")
-    sp.add_argument("--compare-tol", type=float, default=1e-3,
+    sp.add_argument("--compare-tol", type=_positive_real, default=1e-3,
                     help="pass/fail threshold for the checks (default 1e-3);"
                          " exit code 2 when exceeded")
     sp.set_defaults(func=cmd_oracle_compare)

@@ -62,9 +62,9 @@ class GreensEvaluator(monodromy.Propagator):
 
         sources[beta] (rows, w) enters at lambda_beta after the jump, so the
         starts solve the block-cyclic system X_{i+1} - Phi_i X_i = S_{i+1}
-        (i mod n) for the steps Phi_i = J_{i+1} T_i of the closed transfers
-        and the jumps, conditioned by the dichotomy of the flow rather than
-        its monodromy (Ascher, Mattheij & Russell 1995, ch. 4).  Its block
+        (i mod n) for the steps Phi_i = J_{i+1} T_i (Propagator.steps),
+        conditioned by the dichotomy of the flow rather than its monodromy
+        (Ascher, Mattheij & Russell 1995, ch. 4).  Its block
         K0 on the flow's own state is (n m)-square, id - iota for n = 1.  A
         t-jet (nahm.JET) stacks d_s X in nahm.jet_states order, so the
         system is block triangular by jet order with K0 on the diagonal: one
@@ -78,8 +78,7 @@ class GreensEvaluator(monodromy.Propagator):
         flow are values.
         """
         n = self.data.n
-        T, J = np.array(self.interval_transfers(tag)), self.jumps(tag)
-        steps = T if J is None else np.array(J[1:] + J[:1]) @ T
+        steps = self.steps(tag)
         sources = np.asarray(sources)
         orders = [len(s) for s in nahm.jet_states(nahm.JET.get(tag, 0))]
         S, (R, w) = len(orders), sources.shape[1:]
@@ -89,7 +88,7 @@ class GreensEvaluator(monodromy.Propagator):
         K0.reshape(n, m, n, m)[i, :, i - 1] -= steps[i - 1, -m:, -m:]
         cond = np.linalg.cond(K0) if np.all(np.isfinite(K0)) else np.inf
         if not cond <= _COND_LIMIT:
-            eig = np.linalg.eigvals(self.loop(tag, self.data.lambdas[0])[-m:, -m:])
+            eig = np.linalg.eigvals(self.loop(tag)[-m:, -m:])
             raise IrregularPointError(
                 f"monodromy has a (near-)unit eigenvalue at t = "
                 f"{tuple(self.t.tolist())} ({tag} periodic system; cond = {cond:.3e})",
@@ -106,7 +105,7 @@ class GreensEvaluator(monodromy.Propagator):
             X[:, a:b] = sol.reshape(n, m, b - a, w).transpose(0, 2, 1, 3)
         starts = X.reshape(n, R, w)
         left = (steps @ starts)[i - 1] + sources
-        rows = m if J is None else m // 2
+        rows = m if tag == "ddag" else m // 2
         return starts, _diagonal_limits(
             tag, X[:, :, :rows], left.reshape(X.shape)[:, :, :rows])
 

@@ -29,26 +29,25 @@ others, whose coefficient (nahm.flow_coefficient) is a precomputed
 Chebyshev series: the coefficient at all stages of a step is one small
 product, and a Propagator builds the series once per (flow, interval) for
 all the spans it integrates.
-Every composed transfer is one walk of a Propagator: from a base point y
-it multiplies interval transfers (and transfers of partial spans) in order
-and applies the jump of every marked point crossed, i.e. those in
-(y, x] for a walk to x; a loop based on a marked point gets its own jump
-applied once, at the end.  Periodic solutions with sources at the marked
-points walk no loop: they solve one block-cyclic system of the closed
-transfers and the jumps (greens.GreensEvaluator.loop_solution), and only
-their irregular-point report reads the loop at lambda_0.  Within one
+
+The circle is composed from one place, the block-cyclic steps of a
+Propagator: Phi_i = J_{i+1} T_i, the closed transfer of interval i and then
+the jump at its end (Phi_i = T_i on the first-order flow).  The loop based
+at lambda_0 is their ordered product, and periodic solutions with sources
+at the marked points solve one block-cyclic system of them
+(greens.GreensEvaluator.loop_solution), which inverts no loop.  Within one
 interval, interval_states carries a state to many points at once: one
 stacked exponential on a degree-0 interval.
 """
 
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
 from . import nahm
 from .errors import IntegrationError
-from .nahm import TWO_PI, locate, q_spin_parts
+from .nahm import q_spin_parts
 from .spin import E, kron_spin
 
 # DOP853, the explicit Runge-Kutta pair of order 8 with 5th- and 3rd-order
@@ -302,14 +301,13 @@ def interval_transfers_second_order(data, operator_tag, coefficient, tol):
 
 
 class Propagator:
-    """The kernel flows at one (data, t): cached transfers and the circle walk.
+    """The kernel flows at one (data, t): cached transfers and their steps.
 
-    Caches per flow tag (nahm.FLOWS) the interval transfers and the jump
-    maps, per (tag, interval) the flow coefficient, which the closed and the
-    partial spans of an interval share, and per (tag, interval, s0, s1) the
-    transfer of every partial span, kept in the interval's own coordinate,
-    so that walks from different base points share the spans they have in
-    common.  tol is the DOP853 tolerance of the degree>0 intervals.
+    Caches per flow tag (nahm.FLOWS) the interval transfers, per (tag,
+    interval) the flow coefficient, which the closed and the partial spans
+    of an interval share, and per (tag, interval, s0, s1) the transfer of
+    every partial span that interval_states chains, kept in the interval's
+    own coordinate.  tol is the DOP853 tolerance of the degree>0 intervals.
     """
 
     def __init__(self, data, t, tol=1e-10):
@@ -317,7 +315,6 @@ class Propagator:
         self.t = np.asarray(t, dtype=float)
         self.tol = tol
         self._transfers = {}
-        self._jumps = {}
         self._coeffs = {}
         self._spans = {}
 
@@ -329,15 +326,6 @@ class Propagator:
             self._transfers[tag] = build(self.data, tag,
                                          partial(self._coefficient, tag), self.tol)
         return self._transfers[tag]
-
-    def jumps(self, tag):
-        """Marked-point jump maps of a second-order flow (None for first order)."""
-        if tag == "ddag":
-            return None
-        if tag not in self._jumps:
-            self._jumps[tag] = [second_order_jump(self.data, alpha, tag)
-                                for alpha in range(self.data.n)]
-        return self._jumps[tag]
 
     def _coefficient(self, tag, i):
         key = (tag, i)
@@ -377,61 +365,32 @@ class Propagator:
             out[q] = state
         return out
 
-    def walk(self, tag, y, stop):
-        """Transport from y forward to stop, an (interval, coordinate)
-        location as nahm.locate returns it, within (y, y + 2*pi]; a stop at
-        y itself stands for y + 2*pi.  Second-order flows apply the jump of
-        every marked point in (y, stop].
-        """
-        data, n = self.data, self.data.n
-        T = self.interval_transfers(tag)
-        J = self.jumps(tag)
-        i0, pos = locate(data, y)
-        i, s = stop
-        passes = (i - i0) % n
-        if passes == 0 and s <= pos:
-            passes = n
-        state = np.eye(len(T[0]), dtype=complex)
-        for done in range(passes):
-            j = (i0 + done) % n
-            a, b = data.interval_bounds(j)
-            state = (T[j] if pos == a else self._span(tag, j, pos, b)) @ state
-            if J is not None:
-                state = J[(j + 1) % n] @ state
-            pos = data.lambdas[(j + 1) % n]
-        if s != pos:
-            state = self._span(tag, i, pos, s) @ state
-        return state
+    def steps(self, tag):
+        """The block-cyclic steps Phi_i = J_{i+1} T_i of flow `tag`, (n, m, m):
+        the transfer over closed interval i, then the jump at its end
+        (Phi_i = T_i on the first-order flow)."""
+        T = np.array(self.interval_transfers(tag))
+        if tag == "ddag":
+            return T
+        n = self.data.n
+        J = [second_order_jump(self.data, (i + 1) % n, tag) for i in range(n)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.array(J) @ T
 
-    def loop(self, tag, y):
-        """Full-circle transfer based at y.
+    def loop(self, tag):
+        """Full-circle transfer based at lambda_0 (right limit), the ordered
+        product Phi_{n-1} ... Phi_0 of the steps.
 
-        A base point on a marked point gets its own jump once, at the end.
         A loop that overflows (its norm grows like e^{2 pi |t|}) raises
         IntegrationError.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            M = self.walk(tag, y, locate(self.data, y))
+            M = reduce(lambda done, step: step @ done, self.steps(tag))
         if not np.all(np.isfinite(M)):
+            y = self.data.lambdas[0]
             raise IntegrationError(
                 f"non-finite {tag} loop based at s = {y:.6g}", location=y)
         return M
-
-    def path_matrix(self, tag, y, x):
-        """Transport from y to x, x in (y, y + 2*pi] up to winding.
-
-        Second-order tags compose the jump of every marked point in
-        (y, x]; returned derivative blocks at a marked x are therefore
-        right limits.  The unreduced difference x - y decides the two ends:
-        within the marked-point tolerance of 0 the path is the identity,
-        within it of a nonzero multiple of 2*pi it is the loop.
-        """
-        turns = round((x - y) / TWO_PI)
-        if abs(x - y - turns * TWO_PI) < nahm._MARKED_ATOL:
-            if turns == 0:
-                return np.eye(len(self.interval_transfers(tag)[0]), dtype=complex)
-            return self.loop(tag, y)
-        return self.walk(tag, y, locate(self.data, y + (x - y) % TWO_PI))
 
 
 @dataclass(frozen=True)
@@ -447,11 +406,11 @@ def regularity(data, t, tol=1e-10, threshold=1e-6):
 
     The Green's functions exist iff neither first-order monodromy has a
     unit eigenvalue; is_regular requires both gaps to exceed threshold.
-    Only the D^dagger loop is walked: D is the adjoint flow, so its loop is
+    Only the D^dagger loop is built: D is the adjoint flow, so its loop is
     the inverse adjoint of that loop, and an eigenvalue lam of the D^dagger
     loop gives 1/conj(lam) of the D loop, at |lam - 1| / |lam| from 1.
     """
-    eig = np.linalg.eigvals(Propagator(data, t, tol).loop("ddag", data.lambdas[0]))
+    eig = np.linalg.eigvals(Propagator(data, t, tol).loop("ddag"))
     dist = np.abs(eig - 1.0)
     gap_ddag, gap_d = float(np.min(dist)), float(np.min(dist / np.abs(eig)))
     return RegularityReport(gap_ddag=gap_ddag, gap_d=gap_d,

@@ -19,6 +19,7 @@ from .errors import ConfigError, IntegrationError
 from .nahm import TWO_PI, eval_T, locate
 
 _UNIT = np.eye(4)
+_MAX_PANELS = 64   # Gauss-Legendre panels per interval, at most
 
 # ---------------------------------------------------------------------------
 # closed form for data with T = 0, Q = 0
@@ -318,17 +319,18 @@ def _gl_nodes(a, b, panels, order=12):
     return (half * x + mid).ravel(), (half * w).ravel()
 
 
-def _refine_panels(data, quantity, quad_tol, max_panels, what):
+def _refine_panels(data, quantity, quad_tol, what):
     """Panel-doubling quadrature over the intervals of the circle.
 
     quantity(nodes, weights) takes per-interval Gauss-Legendre nodes and
     weights (_gl_nodes on each interval) and returns an array.  The panels
     per interval double from 2 until two successive results differ by less
-    than quad_tol; returns the last result with its nodes and weights.
+    than quad_tol, IntegrationError past _MAX_PANELS; returns the last
+    result with its nodes and weights.
     """
     prev = None
     panels = 2
-    while panels <= max_panels:
+    while panels <= _MAX_PANELS:
         nodes, weights = zip(*(_gl_nodes(*data.interval_bounds(i), panels)
                                for i in range(data.n)))
         out = quantity(nodes, weights)
@@ -337,7 +339,7 @@ def _refine_panels(data, quantity, quad_tol, max_panels, what):
         prev = out
         panels *= 2
     raise IntegrationError(
-        f"{what} did not reach {quad_tol:.1e} within {max_panels} panels "
+        f"{what} did not reach {quad_tol:.1e} within {_MAX_PANELS} panels "
         f"per interval")
 
 
@@ -348,7 +350,7 @@ def _states_at_nodes(ev, tag, starts, nodes):
                            for i in range(ev.data.n)])
 
 
-def _df_integral(ev, nu, quad_tol, max_panels=64):
+def _df_integral(ev, nu, quad_tol):
     """t_nu-derivative of the boundary F-blocks by quadrature, (n, n, k, k):
 
         d_nu F(l_b, l_a) = -2 int F(l_b, s) D_nu(s) F(s, l_a) ds
@@ -374,7 +376,7 @@ def _df_integral(ev, nu, quad_tol, max_panels=64):
                                 vals.conj().reshape(-1, k, n, k),
                                 rhs.reshape(-1, k, n, k))
 
-    return _refine_panels(data, integral, quad_tol, max_panels,
+    return _refine_panels(data, integral, quad_tol,
                           "boundary-derivative quadrature")[0]
 
 
@@ -423,16 +425,15 @@ def _inner(weights, left, right):
     return left.reshape(-1, N).conj().T @ (w * right).reshape(-1, N)
 
 
-def _gram(ev, starts, quad_tol, max_panels):
+def _gram(ev, starts, quad_tol):
     """Gram integral of psi, refined by panel doubling; (gram, nodes, weights)."""
     def gram(nodes, weights):
         vals = _states_at_nodes(ev, "ddag", starts, nodes)
         return _inner(weights, vals, vals)
-    return _refine_panels(ev.data, gram, quad_tol, max_panels,
-                          "Gram quadrature")
+    return _refine_panels(ev.data, gram, quad_tol, "Gram quadrature")
 
 
-def zero_modes(data, t, quad_tol=1e-8, tol=1e-10, max_panels=64):
+def zero_modes(data, t, quad_tol=1e-8, tol=1e-10):
     """Zero-mode frame with its Gram matrix over the circle.
 
     The Gram integral is refined (panel doubling) until it stabilizes
@@ -443,15 +444,14 @@ def zero_modes(data, t, quad_tol=1e-8, tol=1e-10, max_panels=64):
     chi_mat = connection.chi_from_boundary(data, ev.boundary())
     starts = _zero_mode_starts(ev, chi_mat)
     N = chi_mat.shape[0]
-    gram = _gram(ev, starts, quad_tol, max_panels)[0]
+    gram = _gram(ev, starts, quad_tol)[0]
     defect = float(np.max(np.abs(gram + chi_mat @ chi_mat - np.eye(N))))
     return ZeroModeSet(t=tuple(float(x) for x in np.asarray(t, float)),
                        chi=chi_mat, gram=gram, gram_defect=defect,
                        _starts=tuple(starts), _evaluator=ev)
 
 
-def classical_gauge_potential(data, t, h=1e-4, quad_tol=1e-8, tol=1e-10,
-                              max_panels=64):
+def classical_gauge_potential(data, t, h=1e-4, quad_tol=1e-8, tol=1e-10):
     """Gauge potential by direct integration over the circle:
 
         A_mu = int psi^dag d_mu psi ds + chi d_mu chi,
@@ -470,7 +470,7 @@ def classical_gauge_potential(data, t, h=1e-4, quad_tol=1e-8, tol=1e-10,
     N = chi0.shape[0]
 
     # fix the panel structure with the center-point Gram integral
-    _, nodes, weights = _gram(ev0, starts0, quad_tol, max_panels)
+    _, nodes, weights = _gram(ev0, starts0, quad_tol)
     vals0 = _states_at_nodes(ev0, "ddag", starts0, nodes)
 
     A = np.zeros((4, N, N), dtype=complex)

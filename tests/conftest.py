@@ -145,3 +145,14 @@ def pointwise_flow(data, t, i, tag):
     a, b = data.interval_bounds(i)
     return stacked(lambda s: direct_flow_matrix(data, t, i, tag,
                                                 (2.0 * s - a - b) / (b - a)))
+
+
+def steps_path(steps, alpha, count):
+    """Product Phi_{alpha+count-1} ... Phi_alpha of block-cyclic steps
+    (Propagator.steps, indices mod n): the transport from lambda_alpha
+    across count intervals, right limit to right limit; count = n is the
+    loop based at lambda_alpha."""
+    out = np.eye(steps.shape[-1], dtype=complex)
+    for j in range(alpha, alpha + count):
+        out = steps[j % len(steps)] @ out
+    return out

@@ -122,10 +122,9 @@ def test_criterion_02_monodromy_phase_law():
                                         magnitude=0.2)
         tvec = np.concatenate([[rng.uniform(-1, 1)],
                                rng.uniform(-0.3, 0.3, 3)])
-        y = data.lambdas[0]
         base = monodromy.Propagator(
-            data, np.array([0.0, *tvec[1:]]), 1e-12).loop("ddag", y)
-        shifted = monodromy.Propagator(data, tvec, 1e-12).loop("ddag", y)
+            data, np.array([0.0, *tvec[1:]]), 1e-12).loop("ddag")
+        shifted = monodromy.Propagator(data, tvec, 1e-12).loop("ddag")
         defect = np.max(np.abs(
             shifted - np.exp(2j * np.pi * tvec[0]) * base))
         worst = max(worst, defect)

@@ -197,13 +197,23 @@ def test_non_finite_point_is_a_usage_error(ref_config, capsys, argv):
     ("oracle-compare", "--t", "0,0.7,0,0", "--N", "-64"),
     ("selfdual-scan", "--grid", "t0=0.3,t1=0.4", "--jobs", "-4"),
     ("selfdual-scan", "--grid", "t0=0.3,t1=0.4", "--jobs", "0"),
+    ("connection", "--t", "0,0.7,0,0", "--ode-tol", "-1"),
+    ("connection", "--t", "0,0.7,0,0", "--ode-tol", "0"),
+    ("connection", "--t", "0,0.7,0,0", "--ode-tol", "inf"),
+    ("connection", "--t", "0,0.7,0,0", "--ode-tol", "nan"),
+    ("regularity", "--t", "0,0.7,0,0", "--ode-tol", "0"),
+    ("selfdual-scan", "--grid", "t0=0.3,t1=0.4", "--ode-tol", "1e400"),
+    ("oracle-compare", "--t", "0,0.7,0,0", "--N", "64", "--compare-tol", "nan"),
+    ("oracle-compare", "--t", "0,0.7,0,0", "--N", "64", "--compare-tol", "0"),
 ])
 def test_non_positive_counts_are_usage_errors(free_config_path, capsys, argv):
-    # rejected when parsed: no ZeroDivisionError, no silent serial scan
+    # rejected when parsed: no ZeroDivisionError, no silent serial scan, no
+    # integration at a tolerance that cannot be met, no check that always fails
     rc = cli.main([argv[0], "--config", free_config_path, *argv[1:]])
     captured = capsys.readouterr()
     assert (rc, captured.out) == (1, "")
-    assert "expected a positive integer" in captured.err
+    want = "integer" if argv[-2] in ("--N", "--jobs") else "finite real"
+    assert f"expected a positive {want}" in captured.err
 
 
 @pytest.mark.parametrize("command", ["connection", "oracle-compare"])

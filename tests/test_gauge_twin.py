@@ -112,12 +112,11 @@ def test_twin_potential_builds_each_coefficient_once(twin_case, monkeypatch):
     prop = monodromy.Propagator(twin, t)
     a, b = twin.interval_bounds(0)
     before = len(builds)
-    prop.path_matrix("ddag", a, 0.5 * (a + b))
+    prop.interval_transfers("ddag")
     assert sorted(builds[before:]) == [("ddag", i) for i in range(twin.n)]
     before = len(builds)
-    for s in np.linspace(a, b, 6)[1:-1]:
-        prop.path_matrix("ddag", a, s)
-    assert len(builds) == before
+    prop.interval_states("ddag", 0, np.linspace(a, b, 6)[1:-1], np.eye(2 * twin.k))
+    assert len(builds) == before and len(prop._spans) == 4
 
 
 def test_twin_curvature_matches_constant_data(twin_case):

@@ -1,12 +1,12 @@
-"""Green's function blocks, the circle walk and the boundary block algebra."""
+"""Green's function blocks and the boundary block algebra."""
 
 import numpy as np
 import pytest
 
-from caloron import greens, monodromy, nahm, oracle
+from caloron import greens, nahm, oracle
 from caloron.errors import IntegrationError, IrregularPointError
 
-from conftest import pointwise_flow, random_poly_data, zero_mat
+from conftest import random_poly_data, steps_path, zero_mat
 from test_acceptance import POINTS
 
 TWO_PI = 2.0 * np.pi
@@ -214,21 +214,20 @@ def greens_case(request, reference):
 def _defining_blocks(ev, tag):
     """Value blocks [s, beta, alpha] of pi_2 P(lambda_alpha -> lambda_beta)
     (iota_alpha - id)^{-1} pi_1 per state s of the flow's jet, with one
-    solve of the whole jet loop based at each lambda_alpha and P the walk
-    of path_matrix."""
-    lam = [float(x) for x in ev.data.lambdas]
+    solve of the whole jet loop based at each lambda_alpha and P the
+    product of the steps between the two marked points."""
+    steps = ev.steps(tag)
+    n, dim = len(steps), steps.shape[-1]
     S = len(nahm.jet_states(nahm.JET[tag]))
+    v = dim // (2 * S)
+    P1 = np.zeros((dim, v))
+    P1[dim - v:] = np.eye(v)
     columns = []
-    for alpha, y in enumerate(lam):
-        loop = ev.path_matrix(tag, y, y + TWO_PI)
-        dim = len(loop)
-        v = dim // (2 * S)
-        P1 = np.zeros((dim, v))
-        P1[dim - v:] = np.eye(v)
-        K = np.linalg.solve(loop - np.eye(dim), P1)
-        columns.append([((np.eye(dim) if beta == alpha else ev.path_matrix(tag, y, x))
+    for alpha in range(n):
+        K = np.linalg.solve(steps_path(steps, alpha, n) - np.eye(dim), P1)
+        columns.append([(steps_path(steps, alpha, (beta - alpha) % n)
                          @ K).reshape(S, 2 * v, v)[:, :v]
-                        for beta, x in enumerate(lam)])
+                        for beta in range(n)])
     return np.array(columns).transpose(2, 1, 0, 3, 4)
 
 
@@ -241,7 +240,7 @@ def test_boundary_one_solve_equals_per_source_definition(greens_case):
     # source) from a 45-digit reference, so they get 1e-14 cond
     data, t = greens_case
     ev = greens.GreensEvaluator(data, t)
-    cond = np.linalg.cond(ev.loop("finv", data.lambdas[0]) - np.eye(2 * data.k))
+    cond = np.linalg.cond(ev.loop("finv") - np.eye(2 * data.k))
     for order, tag in enumerate(nahm.FINV_JET):
         got = ev.boundary(order=order).jet
         want = _defining_blocks(ev, tag)
@@ -258,30 +257,6 @@ def test_boundary_rejects_other_orders(reference, order):
     ev = greens.GreensEvaluator(reference, np.array([0.25, 0.15, -0.2, 0.3]))
     with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
         ev.boundary(order=order)
-
-
-def test_path_matrix_composition(reference):
-    t = np.array([0.25, 0.15, -0.2, 0.3])
-    ev = greens.GreensEvaluator(reference, t, tol=1e-12)
-    z, y, x = 0.3, 2.0, 4.0
-    for tag in ("finv", "ddagd"):
-        whole = ev.path_matrix(tag, z, x)
-        parts = ev.path_matrix(tag, y, x) @ ev.path_matrix(tag, z, y)
-        assert np.max(np.abs(whole - parts)) < 1e-9
-
-
-def test_path_matrix_near_the_base_point(reference):
-    # x within 1e-12 of y is y itself: identity just above y, the loop
-    # just below y + 2*pi, on and off a marked point
-    t = np.array([0.25, 0.15, -0.2, 0.3])
-    ev = greens.GreensEvaluator(reference, t)
-    for y in (float(reference.lambdas[0]), 2.0):
-        for tag in ("ddag", "finv"):
-            loop = ev.path_matrix(tag, y + 0.5, y) @ ev.path_matrix(tag, y, y + 0.5)
-            ident = np.eye(len(loop))
-            assert np.max(np.abs(ev.path_matrix(tag, y, y + 1e-13) - ident)) < 1e-12
-            assert np.max(np.abs(ev.path_matrix(tag, y, y + TWO_PI - 1e-13)
-                                 - loop)) < 1e-9
 
 
 def test_lemma_identities_random():
@@ -314,46 +289,3 @@ def test_boundary_sandwich_matches_manual(reference):
             manual[offs[b]:offs[b] + qb.shape[1],
                    offs[a]:offs[a] + qa.shape[1]] = blk
     assert np.allclose(qf, manual, atol=1e-12)
-
-
-# ---------------------------------------------------- walker cross-checks
-
-def test_walkers_agree_on_random_data():
-    # full loops from one base point by two routes (the path from y to
-    # y + 2*pi and the loop of a fresh Propagator), and a path across a
-    # marked point against its pieces, each integrated from the pointwise
-    # flow matrix
-    rng = np.random.default_rng(13)
-    tol = 1e-12
-    for _ in range(2):  # (k, n) = (2, 3), then (2, 1)
-        data = oracle.random_valid_data(rng, k=int(rng.integers(1, 3)),
-                                        n=int(rng.integers(1, 4)),
-                                        magnitude=0.3)
-        t = np.concatenate([[rng.uniform(0.05, 0.95)],
-                            rng.uniform(-0.4, 0.4, size=3)])
-        ev = greens.GreensEvaluator(data, t, tol=tol)
-        lam = [float(x) for x in data.lambdas]
-        bounds = [data.interval_bounds(i) for i in range(data.n)]
-        gaps = [b - a for a, b in bounds]
-        off = (lam[0] + 0.35 * gaps[0]) % TWO_PI
-        for tag in ("ddag", "finv", "ddagd", "dfinv", "ddfinv"):
-            for y in lam + [off]:
-                path = ev.path_matrix(tag, y, y + TWO_PI)
-                circle = monodromy.Propagator(data, t, tol).loop(tag, y)
-                assert np.max(np.abs(path - circle)) < 1e-9, (tag, y)
-            for beta in range(data.n):
-                prev = (beta - 1) % data.n
-                y = lam[beta] - 0.4 * gaps[prev]
-                x = lam[beta] + 0.4 * gaps[beta]
-                end = bounds[prev][1]    # lambda_beta in interval prev's coordinate
-                before = monodromy.transfer(pointwise_flow(data, t, prev, tag),
-                                            end - 0.4 * gaps[prev], end, tol)
-                after = monodromy.transfer(pointwise_flow(data, t, beta, tag),
-                                           lam[beta], x, tol)
-                jump = (np.eye(len(before)) if tag == "ddag"
-                        else monodromy.second_order_jump(data, beta, tag))
-                whole = ev.path_matrix(tag, y, x)
-                assert np.max(np.abs(whole - after @ jump @ before)) < 1e-9
-                pieces = (ev.path_matrix(tag, lam[beta], x)
-                          @ ev.path_matrix(tag, y, lam[beta]))
-                assert np.max(np.abs(whole - pieces)) < 1e-9

@@ -5,7 +5,6 @@ conventions: they integrate a smoothed version of the singular ODE with a
 generic solver and check convergence to the jump-composed monodromy.
 """
 
-import itertools
 import warnings
 
 import numpy as np
@@ -234,7 +233,7 @@ def test_transfer_step_limit(monkeypatch):
 def test_free_first_order_monodromy(free_data):
     # constant coefficient: the loop is a matrix exponential
     t = np.array([0.35, 0.2, -0.4, 0.1])
-    loop = mon.Propagator(free_data, t, 1e-12).loop("ddag", 0.0)
+    loop = mon.Propagator(free_data, t, 1e-12).loop("ddag")
     M = np.kron(np.eye(2), 1j * t[0] * np.eye(1))
     for j in (1, 2, 3):
         M = M - np.kron(spin.pauli(j), t[j] * np.eye(1))
@@ -248,30 +247,15 @@ def test_free_first_order_monodromy(free_data):
     assert np.max(np.abs(eig - want)) < 1e-9
 
 
-def test_first_order_base_point_conjugation(reference):
-    t = np.array([0.25, 0.15, -0.2, 0.3])
-    prop = mon.Propagator(reference, t)
-    m1 = prop.loop("ddag", 0.3)
-    m2 = prop.loop("ddag", 2.9)
-    e1 = np.linalg.eigvals(m1)
-    e2 = np.linalg.eigvals(m2)
-    # pair the spectra by nearest match: a sort of purely imaginary pairs
-    # would order them by the rounding in their real parts
-    mismatch = min(np.max(np.abs(e1 - e2[list(p)]))
-                   for p in itertools.permutations(range(len(e2))))
-    assert mismatch < 1e-8
-
-
 def test_phase_law_spot():
     rng = np.random.default_rng(11)
     for _ in range(2):
         data = oracle.random_valid_data(rng, k=1, n=2, magnitude=0.25)
         tvec = np.concatenate([[0.0], rng.uniform(-0.3, 0.3, size=3)])
         t0 = 0.7
-        y = data.lambdas[0]
-        base = mon.Propagator(data, tvec, 1e-12).loop("ddag", y)
+        base = mon.Propagator(data, tvec, 1e-12).loop("ddag")
         shifted = mon.Propagator(
-            data, tvec + np.array([t0, 0, 0, 0]), 1e-12).loop("ddag", y)
+            data, tvec + np.array([t0, 0, 0, 0]), 1e-12).loop("ddag")
         defect = np.max(np.abs(shifted - np.exp(TWO_PI * 1j * t0) * base))
         assert defect < 1e-9
 
@@ -328,25 +312,37 @@ def test_gap_d_matches_an_independent_d_flow(reference):
         for i in range(data.n):
             Y = mon.transfer(pointwise_flow(data, t, i, "d"),
                              *data.interval_bounds(i), tol=1e-12) @ Y
-        ddag = mon.Propagator(data, t, 1e-12).loop("ddag", data.lambdas[0])
+        ddag = mon.Propagator(data, t, 1e-12).loop("ddag")
         scale = max(1.0, np.max(np.abs(Y)))
         assert np.max(np.abs(Y - np.linalg.inv(ddag).conj().T)) < 1e-9 * scale
         gap = np.min(np.abs(np.linalg.eigvals(Y) - 1.0))
         assert abs(gap - mon.regularity(data, t, tol=1e-12).gap_d) < 1e-9 * scale
 
 
-def test_full_loop_path_matrix_is_the_loop():
-    # the unreduced difference x - y decides: y + 2*pi is always the loop,
-    # also where its float difference rounds just above 2*pi
-    rng = np.random.default_rng(14)
-    data = oracle.random_valid_data(rng, k=2, n=3)
-    prop = mon.Propagator(data, np.array([0.3, 0.2, -0.25, 0.1]))
-    bases = [float(y) for y in np.linspace(0.0, TWO_PI, 64, endpoint=False)]
-    bases += [float(lam) for lam in data.lambdas]
-    for tag in ("ddag", "finv", "ddagd", "dfinv", "ddfinv"):
-        for y in bases:
-            assert np.array_equal(prop.path_matrix(tag, y, y + TWO_PI),
-                                  prop.loop(tag, y)), (tag, y)
+def test_steps_and_loop_from_the_pointwise_flow(reference):
+    # each step against its transfer integrated from the pointwise flow
+    # matrix, then the jump at its end; the loop is their ordered product
+    rng = np.random.default_rng(13)
+    tol = 1e-12
+    cases = [(reference, np.array([0.25, 0.15, -0.2, 0.3])),
+             (oracle.random_valid_data(rng, k=2, n=3, magnitude=0.3),
+              np.array([0.3, 0.2, -0.25, 0.1])),
+             (random_poly_data(rng), rng.uniform(-0.8, 0.8, size=4))]
+    for case, (data, t) in enumerate(cases):
+        prop = mon.Propagator(data, t, tol)
+        for tag in nahm.FLOWS:
+            steps = prop.steps(tag)
+            assert len(steps) == data.n
+            for i in range(data.n):
+                T = mon.transfer(pointwise_flow(data, t, i, tag),
+                                 *data.interval_bounds(i), tol)
+                if tag != "ddag":
+                    T = mon.second_order_jump(data, (i + 1) % data.n, tag) @ T
+                assert np.max(np.abs(steps[i] - T)) < 1e-9, (case, tag, i)
+            want = np.eye(len(steps[0]))
+            for step in steps:
+                want = step @ want
+            assert np.max(np.abs(prop.loop(tag) - want)) < 1e-9, (case, tag)
 
 
 def test_three_vector_t_is_rejected(reference):
@@ -355,7 +351,7 @@ def test_three_vector_t_is_rejected(reference):
         mon.regularity(reference, t)
     for tag in ("ddag", "finv"):
         with pytest.raises(ValueError, match="4-vector"):
-            mon.Propagator(reference, t).loop(tag, 2.0)
+            mon.Propagator(reference, t).loop(tag)
     with pytest.raises(ValueError, match="4-vector"):
         nahm.flow_coefficient(reference, t, 0, "finv")
 
@@ -364,6 +360,23 @@ def test_three_vector_t_is_rejected(reference):
 
 def _logistic(u):
     return 1.0 / (1.0 + np.exp(-np.clip(u, -60.0, 60.0)))
+
+
+def _constant_loop_from_zero(data, t, tag):
+    """Loop of a second-order flow based at s = 0 (not a marked point) on
+    degree-0 data: the exponential of the constant coefficient over every
+    piece between marked points, and the jump at each of them."""
+    def piece(i, length):
+        a = data.interval_bounds(i)[0]
+        return mon.expm(nahm.flow_coefficient(data, t, i, tag)(a) * length)
+
+    pos, loop = 0.0, None
+    for alpha, lam in enumerate(data.lambdas):
+        step = piece(alpha - 1 if alpha else data.n - 1, lam - pos)
+        step = mon.second_order_jump(data, alpha, tag) @ step
+        loop = step if loop is None else step @ loop
+        pos = lam
+    return piece(data.n - 1, TWO_PI - pos) @ loop
 
 
 def _step_data():
@@ -400,7 +413,7 @@ def test_delta_potential_against_gaussian_mollifier():
     })
     assert np.max(np.abs(nahm.matching_residual(data, 0))) < 1e-14
     t = np.array([0.3, 0.2, -0.1, 0.15])
-    exact = mon.Propagator(data, t).loop("finv", 0.0)
+    exact = _constant_loop_from_zero(data, t, "finv")
     base = t[0] ** 2 + t[1] ** 2 + t[2] ** 2 + t[3] ** 2
 
     def mollified(width):
@@ -439,7 +452,7 @@ def test_matching_sign_against_smooth_step():
     for alpha in range(2):
         assert np.max(np.abs(nahm.matching_residual(data, alpha))) < 1e-14
     t = np.array([0.3, 0.2, -0.1, 0.15])
-    exact = mon.Propagator(data, t).loop("ddagd", 0.0)
+    exact = _constant_loop_from_zero(data, t, "ddagd")
     E3 = spin.e_unit(3)
     id2 = np.eye(2)
 
@@ -472,5 +485,5 @@ def test_matching_sign_against_smooth_step():
     cfg = nahm.to_dict(data)
     cfg["Q"] = [[[[0.0, 0.0]], [[0.0, 0.0]]],
                 [[[0.0, 0.0]], [[0.0, 0.0]]]]
-    nojump = mon.Propagator(nahm.from_dict(cfg), t).loop("ddagd", 0.0)
+    nojump = _constant_loop_from_zero(nahm.from_dict(cfg), t, "ddagd")
     assert np.max(np.abs(nojump - exact)) > 10 * errs[2]

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from caloron import greens, nahm, oracle
+from caloron import greens, monodromy, nahm, oracle
 from caloron.errors import ConfigError, IntegrationError, IrregularPointError
 
-from conftest import random_poly_data
+from conftest import pointwise_flow, random_poly_data, steps_path
 
 TWO_PI = 2.0 * np.pi
 T_REF = np.array([0.25, 0.15, -0.2, 0.3])
@@ -147,18 +147,25 @@ def test_zero_mode_jump_at_marked_points(reference):
 def _defining_psi(ev, chi, s):
     """-i sum_alpha P(lambda_alpha -> s) U_alpha, with one loop solve
     U_alpha = (loop_alpha - id)^{-1} Q_alpha chi_alpha per marked point and
-    P the walk of path_matrix; the right limit on a marked point."""
+    P the product of the steps from lambda_alpha to the start a_i of the
+    interval of s, then the transfer from a_i to s of the pointwise flow
+    matrix (its exponential on a degree-0 interval); the right limit on a
+    marked point."""
     data = ev.data
+    n = data.n
     offs, _ = greens.block_offsets(data)
+    steps = ev.steps("ddag")
+    ident = np.eye(steps.shape[-1])
+    i, x = nahm.locate(data, s)
+    a = data.interval_bounds(i)[0]
+    inside = ident if x == a else monodromy.transfer(
+        pointwise_flow(data, ev.t, i, "ddag"), a, x, ev.tol,
+        constant=data.intervals[i].degree == 0)
     out = 0.0
     for alpha, q in enumerate(data.Q):
-        lam = float(data.lambdas[alpha])
-        loop = ev.path_matrix("ddag", lam, lam + TWO_PI)
-        U = np.linalg.solve(loop - np.eye(len(loop)),
+        U = np.linalg.solve(steps_path(steps, alpha, n) - ident,
                             q @ chi[offs[alpha]:offs[alpha] + q.shape[1]])
-        d = (s - lam) % TWO_PI
-        P = np.eye(len(loop)) if d == 0.0 else ev.path_matrix("ddag", lam, lam + d)
-        out = out + P @ U
+        out = out + inside @ steps_path(steps, alpha, (i - alpha) % n) @ U
     return -1j * out
 
 
@@ -166,8 +173,8 @@ def _defining_psi(ev, chi, s):
 def psi_case(request, reference):
     """(data, t, tol): the reference data, criterion 11a's k=2, n=3 data and
     degree-3 off-shell data.  On the latter, psi at the nodes chains adaptive
-    spans that the walk takes in one, so the tolerance is tightened to keep
-    the two within 1e-12."""
+    spans that the defining sum integrates in one, so the tolerance is
+    tightened to keep the two within 1e-12."""
     if request.param == "reference":
         return reference, T_REF, 1e-10
     if request.param == "random":
