@@ -15,13 +15,12 @@ Second-order flows belong to the two laplacians built from the data:
       kron(id2, .), spin-diagonal in the interval interiors.
 
 Both are integrated as companion systems on the state (f, f'); at a
-marked point the state jumps by [[id, 0], [J, id]] (the value stays
-continuous, the derivative picks up J times the value):
+marked point the value stays continuous and the derivative picks up J times
+the value, in every state of a t-jet of finv (nahm.JET), for the
+t-independent blocks (jump_block; Delta T_0 from the Chebyshev ends)
 
 * finv  : J = i Delta T_0 + (1/2) spin_trace(Q Q^dagger)
-* ddagd : J = kron(id2, i Delta T_0) - sum_j kron(E[j], (Q Q^dagger)_j)
-
-and the t-jets of finv (nahm.JET) jump by the finv map in every state.
+* ddagd : J = kron(id2, J_finv) - Q Q^dagger.
 
 An interval transfer is the exact exponential of the constant coefficient
 on a degree-0 interval and an adaptive DOP853 (order 8) integration on the
@@ -42,13 +41,13 @@ stacked exponential on a degree-0 interval.
 
 from dataclasses import dataclass
 from functools import partial, reduce
+from numbers import Real
 
 import numpy as np
 
 from . import nahm
 from .errors import IntegrationError
-from .nahm import q_spin_parts
-from .spin import E, kron_spin
+from .spin import kron_spin, spin_trace
 
 # DOP853, the explicit Runge-Kutta pair of order 8 with 5th- and 3rd-order
 # error estimators (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10;
@@ -245,26 +244,24 @@ def transfer(coeff, s0, s1, tol=1e-10, constant=False):
     return Y
 
 
-def second_order_jump(data, alpha, tag="finv"):
-    """Marked-point jump map of the second-order flow `tag`, kron(id_S,
-    [[id, 0], [J, id]]) on its S stacked companion states (nahm.JET).
+def jump_block(data, alpha, tag="finv"):
+    """The t-independent block J of the second-order flow `tag`'s jump at
+    lambda_alpha: J_finv = i Delta T_0 + (1/2) spin_trace(Q Q^dagger), and
+    J_ddagd = kron(id2, J_finv) - Q Q^dagger."""
+    q = data.Q[alpha]
+    QQ = q @ q.conj().T
+    J = 1j * nahm.jump_T(data, alpha, 0) + 0.5 * spin_trace(QQ)
+    return kron_spin(np.eye(2), J) - QQ if tag == "ddagd" else J
 
-    J is t-independent: crossing lambda_alpha, the derivative of a kernel
-    element jumps by J times its (continuous) value, in every state of a jet.
-    """
-    states = nahm.jet_states(nahm.JET[tag])
-    dT0 = nahm.jump_T(data, alpha, 0)
-    parts = q_spin_parts(data, alpha)
-    if tag == "ddagd":
-        J = kron_spin(np.eye(2), 1j * dT0)
-        for j in (1, 2, 3):
-            J = J - kron_spin(E[j], parts[j])
-    else:
-        J = 1j * dT0 + parts[0]  # (1/2) spin_trace(QQ^dag) = parts[0]
-    m = J.shape[0]
-    jump = np.eye(2 * m, dtype=complex)
-    jump[m:, :m] = J
-    return np.kron(np.eye(len(states)), jump)
+
+def second_order_jump(data, alpha, tag="finv"):
+    """Marked-point jump map kron(id_S, [[id, 0], [J, id]]) of the flow `tag`
+    on its S stacked companion states (nahm.JET), J = jump_block(data, alpha,
+    tag); Propagator.steps applies it as a row update instead."""
+    J = jump_block(data, alpha, tag)
+    jump = np.eye(2 * len(J), dtype=complex)
+    jump[len(J):, :len(J)] = J
+    return np.kron(np.eye(len(nahm.jet_states(nahm.JET[tag]))), jump)
 
 
 def _interval_transfer(data, i, coeff, s0, s1, tol):
@@ -307,10 +304,13 @@ class Propagator:
     interval) the flow coefficient, which the closed and the partial spans
     of an interval share, and per (tag, interval, s0, s1) the transfer of
     every partial span that interval_states chains, kept in the interval's
-    own coordinate.  tol is the DOP853 tolerance of the degree>0 intervals.
+    own coordinate.  tol is the DOP853 tolerance of the degree>0 intervals,
+    a positive finite real (ValueError otherwise).
     """
 
     def __init__(self, data, t, tol=1e-10):
+        if isinstance(tol, bool) or not (isinstance(tol, Real) and 0 < tol < np.inf):
+            raise ValueError(f"tol must be a positive finite real, got {tol!r}")
         self.data = data
         self.t = np.asarray(t, dtype=float)
         self.tol = tol
@@ -367,15 +367,18 @@ class Propagator:
 
     def steps(self, tag):
         """The block-cyclic steps Phi_i = J_{i+1} T_i of flow `tag`, (n, m, m):
-        the transfer over closed interval i, then the jump at its end
-        (Phi_i = T_i on the first-order flow)."""
+        the transfer over closed interval i, then the jump at its end (Phi_i
+        = T_i on the first-order flow), as a row update: every state's
+        derivative rows gain jump_block times its value rows."""
         T = np.array(self.interval_transfers(tag))
         if tag == "ddag":
             return T
         n = self.data.n
-        J = [second_order_jump(self.data, (i + 1) % n, tag) for i in range(n)]
+        J = np.array([jump_block(self.data, (i + 1) % n, tag) for i in range(n)])
+        X = T.reshape(n, -1, 2, len(J[0]), T.shape[-1])
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.array(J) @ T
+            X[:, :, 1] += J[:, None] @ X[:, :, 0]
+        return T
 
     def loop(self, tag):
         """Full-circle transfer based at lambda_0 (right limit), the ordered

@@ -290,9 +290,12 @@ def eval_T_deriv(data, mu, s, side="right"):
 
 
 def jump_T(data, alpha, mu):
-    """Discontinuity T_mu(lambda_alpha^+) - T_mu(lambda_alpha^-)."""
-    lam = data.lambdas[alpha]
-    return eval_T(data, mu, lam, side="right") - eval_T(data, mu, lam, side="left")
+    """Discontinuity T_mu(lambda_alpha^+) - T_mu(lambda_alpha^-) from the
+    Chebyshev ends T_p(-1) = (-1)^p of interval alpha, T_p(1) = 1 of alpha-1."""
+    right = data.intervals[alpha].coeffs[mu]
+    left = data.intervals[alpha - 1].coeffs[mu]
+    signs = (-1.0) ** np.arange(len(right))
+    return (signs[:, None, None] * right).sum(axis=0) - left.sum(axis=0)
 
 
 def nahm_residual(data, s, t=None):
@@ -402,24 +405,20 @@ def _jet(M, dM, ddM, order):
     return out
 
 
-def _flow_matrices(tag, A, dA0):
-    """Flow matrices of `tag` at a stack of points, (P, dim, dim).
-
-    A holds T_mu + t_mu at the points, (P, 4, k, k), and dA0 dT_0/ds (or 0);
-    np.kron lifts every matrix of a stack at once.
-    """
+def _flow_matrices(tag, C, B, A):
+    """Flow matrices of `tag` at a stack of points, (P, dim, dim), affine in
+    its blocks there: C and B, (P, k, k), and A, (P, 4, k, k) (see
+    flow_coefficient); np.kron lifts every matrix of a stack at once."""
     if tag == "ddag":
         return np.kron(np.eye(2), 1j * A[:, 0]) - sum(
             np.kron(pauli(j), A[:, j]) for j in (1, 2, 3))
-    C = 1j * dA0 + (A @ A).sum(axis=1)
-    B2 = 2j * A[:, 0]
     if tag == "ddagd":
-        C, B2 = np.kron(np.eye(2), C), np.kron(np.eye(2), B2)
+        C, B = np.kron(np.eye(2), C), np.kron(np.eye(2), B)
     m = C.shape[1]
     M = np.zeros((len(C), 2 * m, 2 * m), dtype=complex)
     M[:, :m, m:] = np.eye(m)
     M[:, m:, :m] = C
-    M[:, m:, m:] = B2
+    M[:, m:, m:] = B
     if not JET[tag]:
         return M
     # d_nu C = 2 (T_nu + t_nu), d_0 B = 2i, d_mu d_mu C = 2
@@ -429,6 +428,37 @@ def _flow_matrices(tag, A, dA0):
     ddM = np.zeros(M.shape[1:], dtype=complex)
     ddM[m:, :m] = 2.0 * np.eye(m)
     return _jet(M, dM, ddM, JET[tag])
+
+
+@lru_cache(maxsize=None)
+def _assembly(tag, k):
+    """The flow matrix of `tag` as a gather from its blocks, (index, weight).
+
+    With the blocks stacked as z = (C, B, A_0, .., A_3, 1, 0), entry e of
+    the flattened matrix is sum_r weight[r, e] z[index[r, e]].  Built by
+    running _flow_matrices on the basis of one block at a time, and on zero
+    blocks for the constant: an entry has at most two sources (iA_0 - A_3
+    on 'ddag'), so both arrays are (2 or 1, dim^2), read-only."""
+    def build(z):
+        z = z.reshape(-1, 6, k, k)
+        return _flow_matrices(tag, z[:, 0], z[:, 1], z[:, 2:]).reshape(len(z), -1)
+
+    kk, nz = k * k, 6 * k * k
+    const = build(np.zeros(nz, dtype=complex))
+    z, e, w = [], [], []
+    for block in range(7):
+        x = build(np.eye(kk, nz, block * kk)) - const if block < 6 else const
+        rows, cols = np.nonzero(x)
+        z, e, w = z + [block * kk + rows], e + [cols], w + [x[rows, cols]]
+    order = np.argsort(np.concatenate(e), kind="stable")
+    z, e, w = (np.concatenate(x)[order] for x in (z, e, w))
+    rank = np.arange(len(e)) - np.searchsorted(e, e)
+    index = np.full((rank.max() + 1, const.size), nz + 1)
+    weight = np.zeros(index.shape, dtype=complex)
+    index[rank, e], weight[rank, e] = z, w
+    index.setflags(write=False)
+    weight.setflags(write=False)
+    return index, weight
 
 
 def flow_coefficient(data, t, i, tag):
@@ -445,15 +475,15 @@ def flow_coefficient(data, t, i, tag):
     transfer then carries every d_s Y in the last block column and Y on the
     diagonal (Van Loan, IEEE TAC 23 (1978) 395).
 
-    M is a polynomial in the interval's variable u of degree d (first
-    order) or 2d (second order, quadratic in T) for T of degree d, so it is
-    built once, exactly, as a matrix-valued Chebyshev series: its values at
-    as many Chebyshev points as it has terms, mapped back to coefficients.
-    An evaluation is then one basis-vector times coefficient-matrix product
-    (a degree-0 interval has a one-term series, which it gives exactly).
-    coeff takes one point s, giving M(s), or a 1-D array of q points,
-    giving the (q, dim, dim) stack of M at them from one basis-matrix
-    product: an adaptive transfer evaluates all stages of a step at once.
+    M, affine in the blocks C, B and A_mu = T_mu+t_mu (placed by the cached
+    gather of _assembly), is a polynomial of degree d (first order) or 2d
+    (second order) in the interval's variable u for T of degree d.  So it
+    is built once, exactly, as a 64-byte aligned Chebyshev series from its
+    values at as many Chebyshev points as it has terms; coeff(s) is one
+    basis-vector product (exact on a degree-0 interval, a one-term series),
+    and coeff of a 1-D array of q points the (q, dim, dim) stack from one
+    basis-matrix product: an adaptive transfer evaluates all stages of a
+    step at once.
     """
     t = np.asarray(t, dtype=float)
     if t.shape != (4,):
@@ -471,11 +501,18 @@ def flow_coefficient(data, t, i, tag):
     if d > 0:
         dc0 = chebyshev.chebder(iv.coeffs[0], m=1, axis=0)
         dA0 = np.tensordot(V[:, :d], dc0, axes=1) * (2.0 / (b - a))
+    index, weight = _assembly(tag, data.k)
+    dim = math.isqrt(index.shape[1])
+    # re and im side by side (both products real), from a 64-byte boundary
+    raw = np.empty(2 * P * dim * dim + 8)
+    series = raw[(-raw.ctypes.data % 64) // 8:][:2 * P * dim * dim].reshape(P, -1)
     with np.errstate(over="ignore", invalid="ignore"):
-        M = _flow_matrices(tag, A, dA0)   # a non-finite M fails its transfer
-        # real and imaginary parts side by side, so that both products are real
-        dim = M.shape[1]
-        series = Vinv @ M.reshape(P, dim * dim).view(float)
+        # a non-finite block gives a non-finite M, which fails its transfer
+        C = 1j * dA0 + (A @ A).sum(axis=1)
+        blocks = np.concatenate([C[:, None], 2j * A[:, :1], A], axis=1)
+        z = np.column_stack([blocks.reshape(P, -1), np.ones(P), np.zeros(P)])
+        M = (weight * np.take(z, index, axis=1)).sum(axis=1)
+        np.matmul(Vinv, M.view(float), out=series)
     orders = np.arange(P)
 
     def coeff(s):

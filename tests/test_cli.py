@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,7 +70,7 @@ def test_validate_strict_ok(ref_config, capsys):
 
 
 def test_validate_strict_catches_off_shell(ref_config, tmp_path, capsys):
-    cfg = json.loads(open(ref_config).read())
+    cfg = json.loads(Path(ref_config).read_text())
     cfg["intervals"][0]["T"]["2"][0][0][0][0] += 0.03
     p = tmp_path / "off.json"
     p.write_text(json.dumps(cfg))

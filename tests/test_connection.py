@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import sqrtm
 
 from caloron import connection as con
-from caloron import greens, oracle
+from caloron import greens, nahm, oracle
 from caloron.errors import IrregularPointError, PositivityError
 
 from conftest import random_poly_data
@@ -140,6 +140,25 @@ def test_gauge_potential_integral_method_agrees(cases, monkeypatch):
     for (data, t), A in zip(cases, exact):
         quad = con.gauge_potential(data, t).A
         assert np.max(np.abs(A - quad)) < 1e-9
+
+
+def test_potential_does_not_depend_on_cache_history(cases, poly_case):
+    # the flow-matrix gathers (per tag and k) and the Chebyshev bases (per
+    # size) are built on first use, keyed on neither the data nor t: A is
+    # bitwise the same before and after other flows, tags and k fill them
+    rng = np.random.default_rng(9)
+    for data, t in cases + [poly_case]:
+        nahm._assembly.cache_clear()
+        nahm._cheb_basis.cache_clear()
+        first = con.gauge_potential(data, t).A
+        for k in (1, 2, 3):
+            other = random_poly_data(rng, k=k, n=2, degree=k)
+            for tag in nahm.FLOWS:
+                nahm.flow_coefficient(other, rng.uniform(-0.8, 0.8, size=4), 0, tag)
+        for other, p in cases + [poly_case]:
+            con.curvature(other, p)
+            greens.boundary_greens(other, p + 0.01, want_G=True)
+        assert np.array_equal(con.gauge_potential(data, t).A, first)
 
 
 def test_gauge_potential_rejects_irregular(free_data):

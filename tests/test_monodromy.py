@@ -13,7 +13,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from caloron import monodromy as mon
-from caloron import nahm, oracle, spin
+from caloron import connection, nahm, oracle, spin
 from caloron.errors import IntegrationError
 
 from conftest import (degree1_config, pointwise_flow, random_poly_data, stacked,
@@ -97,6 +97,34 @@ def test_nonfinite_adaptive_transfer_says_so(reference, t):
             with pytest.raises(IntegrationError, match="non-finite") as info:
                 mon.Propagator(data, np.array(t)).interval_transfers(tag)
             assert info.value.location == data.lambdas[0], tag
+
+
+@pytest.mark.parametrize("t, tags", [((1e200, 0.15, -0.2, 0.3), tuple(nahm.JET)),
+                                     ((0.3, 0.15, -0.2, 1e155), nahm.FLOWS)])
+def test_nonfinite_constant_transfer_says_so(reference, t, tags):
+    # the degree-0 twin of the test above: the exact exponential of an
+    # overflowing coefficient fails as non-finite at the interval's start.
+    # (T_0 + t_0)^2 overflows every second-order coefficient; the 'ddag'
+    # coefficient holds i (T_0 + t_0) alone, which stays finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for tag in tags:
+            with pytest.raises(IntegrationError, match="non-finite") as info:
+                mon.Propagator(reference, np.array(t)).interval_transfers(tag)
+            assert info.value.location == reference.lambdas[0], tag
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf, True, "1e-10"])
+def test_tol_must_be_a_positive_finite_real(reference, tol):
+    # rejected once, where the flows are set up, before any integration
+    data = nahm.from_dict(degree1_config(reference))
+    t = np.array([0.25, 0.15, -0.2, 0.3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in (connection.gauge_potential, mon.regularity,
+                     lambda d, p, tol: oracle.zero_modes(d, p, tol=tol)):
+            with pytest.raises(ValueError, match="tol must be a positive finite real"):
+                call(data, t, tol=tol)
 
 
 def test_transfer_constant_coefficient():
@@ -287,6 +315,45 @@ def test_jump_lift_identity():
             q = data.Q[alpha]
             assert np.allclose(np.kron(np.eye(2), jf), jd + q @ q.conj().T,
                                atol=1e-13)
+
+
+def _jump_data():
+    rng = np.random.default_rng(6)
+    return ([oracle.random_valid_data(rng, k=k, n=3) for k in (1, 2, 3)]
+            + [random_poly_data(rng, k=2, n=3, degree=4)])
+
+
+def test_jump_block_closed_form():
+    # J against the spin parts of Q Q^dag and the jump of T_0 read off the
+    # one-sided evaluations, as the jump maps were built before
+    for data in _jump_data():
+        for alpha in range(data.n):
+            lam = data.lambdas[alpha]
+            dT0 = (nahm.eval_T(data, 0, lam, side="right")
+                   - nahm.eval_T(data, 0, lam, side="left"))
+            parts = nahm.q_spin_parts(data, alpha)
+            finv = 1j * dT0 + parts[0]
+            ddagd = spin.kron_spin(np.eye(2), 1j * dT0) - sum(
+                spin.kron_spin(spin.E[j], parts[j]) for j in (1, 2, 3))
+            for tag, want in (("finv", finv), ("ddagd", ddagd)):
+                got = mon.jump_block(data, alpha, tag)
+                assert np.max(np.abs(got - want)) < 1e-14, (data.k, alpha, tag)
+
+
+def test_steps_apply_the_full_jump_map():
+    # the row update of Propagator.steps against the kron'd jump map times
+    # the transfer, for every second-order flow
+    t = np.array([0.3, 0.2, -0.25, 0.1])
+    for data in _jump_data():
+        prop = mon.Propagator(data, t)
+        for tag in nahm.JET:
+            T = prop.interval_transfers(tag)
+            steps = prop.steps(tag)
+            for i in range(data.n):
+                want = mon.second_order_jump(data, (i + 1) % data.n, tag) @ T[i]
+                err = np.max(np.abs(steps[i] - want))
+                assert err <= 1e-14 * np.max(np.abs(want)), (data.k, tag, i)
+            assert not np.array_equal(steps, np.array(T)), tag
 
 
 def test_regularity_report(reference, free_data):

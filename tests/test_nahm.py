@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from caloron import nahm, spin
+from caloron import nahm, oracle, spin
 from caloron.errors import ConfigError
 
 from conftest import direct_flow_matrix, random_poly_data, zero_mat
@@ -249,3 +249,67 @@ def test_flow_coefficient_stack_matches_scalar_calls(degree):
             past = coeff(np.array([a - 1.0, a - 0.1, b + 0.1, b + 1.0]))
             assert np.array_equal(past[0], past[1]), (tag, i)
             assert np.array_equal(past[2], past[3]), (tag, i)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 3])
+def test_assembled_flow_matrices_match_pointwise_formula(k, degree):
+    # the gather of every flow, built once per (tag, k), against the
+    # pointwise formula at both ends, the middle and random u
+    rng = np.random.default_rng(10 * k + degree)
+    data = random_poly_data(rng, k=k, n=2, degree=degree)
+    t = rng.uniform(-0.8, 0.8, size=4)
+    us = [-1.0, 0.0, 1.0] + list(rng.uniform(-1.0, 1.0, size=3))
+    for i in range(data.n):
+        a, b = data.interval_bounds(i)
+        for tag in nahm.FLOWS:
+            coeff = nahm.flow_coefficient(data, t, i, tag)
+            for u in us:
+                want = direct_flow_matrix(data, t, i, tag, u)
+                got = coeff(0.5 * (a + b) + 0.5 * (b - a) * u)
+                scale = max(1.0, np.max(np.abs(want)))
+                assert np.max(np.abs(got - want)) < 1e-13 * scale, (tag, i, u)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_assembly_maps_are_read_only_and_linear_in_size(k):
+    # one gather per (tag, k): at most two sources per flow-matrix entry,
+    # so O(dim^2) memory, where a dense map from the 6 k^2 block entries
+    # would take 6 k^2 dim^2
+    dims = {"ddag": 2 * k, "finv": 2 * k, "ddagd": 4 * k,
+            "dfinv": 10 * k, "ddfinv": 30 * k}
+    assert set(dims) == set(nahm.FLOWS)
+    for tag, dim in dims.items():
+        index, weight = nahm._assembly(tag, k)
+        assert nahm._assembly(tag, k) is nahm._assembly(tag, k)
+        for arr in (index, weight):
+            assert not arr.flags.writeable, tag
+            assert arr.shape in ((1, dim * dim), (2, dim * dim)), (tag, arr.shape)
+        assert index.min() >= 0 and index.max() <= 6 * k * k + 1, tag
+
+
+def test_flow_coefficient_series_is_aligned():
+    # the series a scalar call multiplies sits on a 64-byte line, whatever
+    # the allocator hands out
+    rng = np.random.default_rng(3)
+    data = random_poly_data(rng, k=2, n=2, degree=3)
+    t = rng.uniform(-0.8, 0.8, size=4)
+    for _ in range(8):
+        coeff = nahm.flow_coefficient(data, t, 0, "dfinv")
+        cells = dict(zip(coeff.__code__.co_freevars, coeff.__closure__))
+        assert cells["series"].cell_contents.ctypes.data % 64 == 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_jump_T_is_the_chebyshev_end_difference(k):
+    # the closed form against the one-sided evaluations it replaced
+    rng = np.random.default_rng(40 + k)
+    for data in (oracle.random_valid_data(rng, k=k, n=3),
+                 random_poly_data(rng, k=k, n=3, degree=4)):
+        for alpha in range(data.n):
+            lam = data.lambdas[alpha]
+            for mu in range(4):
+                want = (nahm.eval_T(data, mu, lam, side="right")
+                        - nahm.eval_T(data, mu, lam, side="left"))
+                got = nahm.jump_T(data, alpha, mu)
+                assert np.max(np.abs(got - want)) < 1e-14, (alpha, mu)
