@@ -55,15 +55,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _pairs(z):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _matrix_pairs(M):
-    return [[_pairs(z) for z in row] for row in np.asarray(M)]
-
-
 def _finite(values, what):
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
@@ -212,7 +203,7 @@ def cmd_connection(args):
         "schema_version": SCHEMA_VERSION,
         "t": [float(x) for x in t],
         "ode_tol": args.ode_tol,
-        "A": [_matrix_pairs(pot.A[mu]) for mu in range(4)],
+        "A": nahm.to_pairs(pot.A),
         "chi_min_eigenvalue": pot.chi_min_eigenvalue,
         "antihermiticity_defect": pot.antiherm_defect,
     }

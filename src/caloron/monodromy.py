@@ -22,12 +22,12 @@ t-independent blocks (jump_block; Delta T_0 from the Chebyshev ends)
 * finv  : J = i Delta T_0 + (1/2) spin_trace(Q Q^dagger)
 * ddagd : J = kron(id2, J_finv) - Q Q^dagger.
 
-An interval transfer is the exact exponential of the constant coefficient
-on a degree-0 interval and an adaptive DOP853 (order 8) integration on the
-others, whose coefficient (nahm.flow_coefficient) is a precomputed
-Chebyshev series: the coefficient at all stages of a step is one small
-product, and a Propagator builds the series once per (flow, interval) for
-all the spans it integrates.
+Every interval transfer comes from transfer: the exact exponential of the
+constant coefficient on a degree-0 interval and an adaptive DOP853 (order
+8) integration on the others, whose coefficient (nahm.flow_coefficient) is
+a precomputed Chebyshev series: the coefficient at all stages of a step is
+one small product, and a Propagator builds the series once per (flow,
+interval) for all the spans it integrates.
 
 The circle is composed from one place, the block-cyclic steps of a
 Propagator: Phi_i = J_{i+1} T_i, the closed transfer of interval i and then
@@ -36,7 +36,8 @@ at lambda_0 is their ordered product, and periodic solutions with sources
 at the marked points solve one block-cyclic system of them
 (greens.GreensEvaluator.loop_solution), which inverts no loop.  Within one
 interval, interval_states carries a state to many points at once: one
-stacked exponential on a degree-0 interval.
+stacked transfer to all of them on a degree-0 interval, the transfers
+between consecutive points chained on the others.
 """
 
 from dataclasses import dataclass
@@ -162,15 +163,10 @@ def expm(A):
     return R
 
 
-def _checked_expm(M, location):
-    """expm of M (one matrix or a stack), IntegrationError unless finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        Y = expm(M) if np.isfinite(np.abs(M).sum()) else None
-    if Y is None or not np.all(np.isfinite(Y)):
-        raise IntegrationError(
-            f"non-finite exponential of the coefficient at s = {location:.6g}",
-            location=location)
-    return Y
+# The exponential's error grows like the unit roundoff times |M ds|_1 (the
+# squarings); past this norm it would exceed the 1e-8 tolerance the Green's
+# blocks are checked to at the marked points.
+_EXPM_MAX_NORM = 1e-8 / 2.0 ** -53
 
 
 def transfer(coeff, s0, s1, tol=1e-10, constant=False):
@@ -179,23 +175,35 @@ def transfer(coeff, s0, s1, tol=1e-10, constant=False):
     coeff maps a point s to a square complex matrix, and a 1-D array of
     points to the stack of those matrices.  With constant=True coeff is
     taken to be constant on [s0, s1]: it is evaluated once, at s0, and the
-    transfer is the exact exponential expm(coeff(s0) * (s1 - s0)).
-    Otherwise adaptive DOP853 (order 8) with mixed absolute/relative
+    transfer is the exact exponential expm(coeff(s0) * (s1 - s0)); s1 may
+    also be an increasing 1-D array of end points, whose transfers come
+    back stacked.  A non-finite exponential, or one whose |coeff * (s1 -
+    s0)|_1 is too large for it to be accurate, raises IntegrationError at
+    s0.  Otherwise adaptive DOP853 (order 8) with mixed absolute/relative
     max-norm error control at tol: coeff is called once per step attempt,
     on all its stage points, and a non-finite coefficient or stage raises
     IntegrationError.
     """
     if constant:
         with np.errstate(over="ignore", invalid="ignore"):
-            M = np.asarray(coeff(s0), dtype=complex) * (s1 - s0)
-        return _checked_expm(M, s0)
+            M = np.asarray(coeff(s0), dtype=complex) * (
+                np.asarray(s1, dtype=float) - s0)[..., None, None]
+            norm = np.abs(M).sum(axis=-2).max()
+            Y = expm(M) if np.isfinite(norm) else None
+        if Y is None or not np.all(np.isfinite(Y)):
+            raise IntegrationError(
+                f"non-finite exponential of the coefficient at s = {s0:.6g}",
+                location=s0)
+        if norm > _EXPM_MAX_NORM:
+            raise IntegrationError(
+                f"inaccurate exponential of the coefficient at s = {s0:.6g}: "
+                f"|M ds|_1 = {norm:.3g} exceeds {_EXPM_MAX_NORM:.3g}", location=s0)
+        return Y
     span = s1 - s0
     with np.errstate(over="ignore", invalid="ignore"):
         C0 = np.asarray(coeff(s0), dtype=complex)
         m = C0.shape[0]
         Y = np.eye(m, dtype=complex)
-        if span == 0.0:
-            return Y
         direction = 1.0 if span > 0 else -1.0
         scale = np.max(np.abs(C0)) + 1e-30
         h = direction * min(abs(span), max(0.1 / scale, 1e-6 * abs(span)))
@@ -264,19 +272,9 @@ def second_order_jump(data, alpha, tag="finv"):
     return np.kron(np.eye(len(nahm.jet_states(nahm.JET[tag]))), jump)
 
 
-def _interval_transfer(data, i, coeff, s0, s1, tol):
-    """Transfer of the flow with coefficient `coeff` on interval i over
-    [s0, s1], in the interval's own coordinate.
-
-    A degree-0 interval has a constant coefficient, whose transfer is the
-    exact exponential; the others are integrated by DOP853 at tol.
-    """
-    return transfer(coeff, s0, s1, tol, constant=data.intervals[i].degree == 0)
-
-
 def _closed_transfers(data, coefficient, tol):
-    return [_interval_transfer(data, i, coefficient(i),
-                               *data.interval_bounds(i), tol)
+    return [transfer(coefficient(i), *data.interval_bounds(i), tol,
+                     constant=data.intervals[i].degree == 0)
             for i in range(data.n)]
 
 
@@ -300,12 +298,10 @@ def interval_transfers_second_order(data, operator_tag, coefficient, tol):
 class Propagator:
     """The kernel flows at one (data, t): cached transfers and their steps.
 
-    Caches per flow tag (nahm.FLOWS) the interval transfers, per (tag,
+    Caches per flow tag (nahm.FLOWS) the interval transfers, and per (tag,
     interval) the flow coefficient, which the closed and the partial spans
-    of an interval share, and per (tag, interval, s0, s1) the transfer of
-    every partial span that interval_states chains, kept in the interval's
-    own coordinate.  tol is the DOP853 tolerance of the degree>0 intervals,
-    a positive finite real (ValueError otherwise).
+    of an interval share.  tol is the DOP853 tolerance of the degree>0
+    intervals, a positive finite real (ValueError otherwise).
     """
 
     def __init__(self, data, t, tol=1e-10):
@@ -316,7 +312,6 @@ class Propagator:
         self.tol = tol
         self._transfers = {}
         self._coeffs = {}
-        self._spans = {}
 
     def interval_transfers(self, tag):
         """Transfers of flow `tag` over each closed interval."""
@@ -333,34 +328,23 @@ class Propagator:
             self._coeffs[key] = nahm.flow_coefficient(self.data, self.t, i, tag)
         return self._coeffs[key]
 
-    def _span(self, tag, i, s0, s1):
-        key = (tag, i, s0, s1)
-        if key not in self._spans:
-            self._spans[key] = _interval_transfer(
-                self.data, i, self._coefficient(tag, i), s0, s1, self.tol)
-        return self._spans[key]
-
     def interval_states(self, tag, i, s, state):
         """A state at the start of interval i carried to each of the points
         s (increasing, in the interval's own coordinate), (len(s), m, w).
 
-        On a degree-0 interval the transfers are one stacked exponential
-        expm(M * (s - a)); on the others the cached adaptive spans between
-        consecutive points are chained.  No marked point is crossed, so no
-        jump applies.
+        On a degree-0 interval the transfers to all the points are one
+        stacked transfer; on the others the transfers between consecutive
+        points are chained.  No marked point is crossed, so no jump applies.
         """
         a = self.data.interval_bounds(i)[0]
-        s = np.asarray(s, dtype=float)
+        coeff = self._coefficient(tag, i)
         if self.data.intervals[i].degree == 0:
-            M = np.asarray(self._coefficient(tag, i)(a), dtype=complex)
-            with np.errstate(over="ignore", invalid="ignore"):
-                M = M * (s - a)[:, None, None]
-            return _checked_expm(M, a) @ state
+            return transfer(coeff, a, s, self.tol, constant=True) @ state
         out = np.empty((len(s),) + state.shape, dtype=complex)
         pos = a
-        for q, x in enumerate(s):
+        for q, x in enumerate(np.asarray(s, dtype=float)):
             if x != pos:
-                state = self._span(tag, i, pos, x) @ state
+                state = transfer(coeff, pos, x, self.tol) @ state
                 pos = x
             out[q] = state
         return out

@@ -211,11 +211,10 @@ def load(source):
     return from_dict(cfg)
 
 
-def _complex_to_pairs(mat):
-    out = np.empty(mat.shape + (2,), dtype=float)
-    out[..., 0] = mat.real
-    out[..., 1] = mat.imag
-    return out.tolist()
+def to_pairs(mat):
+    """An array-like of complex numbers as the schema's nested [re, im] lists."""
+    mat = np.asarray(mat)
+    return np.stack([mat.real, mat.imag], axis=-1).tolist()
 
 
 def to_dict(data):
@@ -225,10 +224,10 @@ def to_dict(data):
         "lambdas": [float(x) for x in data.lambdas],
         "intervals": [
             {"degree": iv.degree,
-             "T": {str(mu): _complex_to_pairs(iv.coeffs[mu]) for mu in range(4)}}
+             "T": {str(mu): to_pairs(iv.coeffs[mu]) for mu in range(4)}}
             for iv in data.intervals
         ],
-        "Q": [_complex_to_pairs(q) for q in data.Q],
+        "Q": [to_pairs(q) for q in data.Q],
         "description": data.description,
     }
 

@@ -16,10 +16,12 @@ import numpy as np
 
 from . import connection, greens, monodromy, nahm
 from .errors import ConfigError, IntegrationError
-from .nahm import TWO_PI, eval_T, locate
+from .nahm import TWO_PI, eval_T, locate, to_pairs
 
 _UNIT = np.eye(4)
 _MAX_PANELS = 64   # Gauss-Legendre panels per interval, at most
+_QUAD_TOL = 1e-8   # the zero modes' Gram quadrature converges to this
+_MIN_GAP = 0.5     # least spacing of random_valid_data's marked points
 
 # ---------------------------------------------------------------------------
 # closed form for data with T = 0, Q = 0
@@ -84,7 +86,8 @@ def dense_second_order(data, t, N):
     Uses the compact 3-point laplacian, the symmetrized first-order part
     i (A Dc + Dc A) with the central difference Dc, multiplication terms
     averaged at marked nodes, and the marked-point potentials as 1/h
-    times the jump coefficient on the node.
+    times the jump coefficient on the node.  Returns the operator and
+    idx_marked, the node of every marked point.
     """
     k = data.k
     h = TWO_PI / N
@@ -107,7 +110,7 @@ def dense_second_order(data, t, N):
     for alpha, node in idx_marked.items():
         sl = slice(node * k, (node + 1) * k)
         L[sl, sl] += nahm.q_spin_parts(data, alpha)[0] / h
-    return L
+    return L, idx_marked
 
 
 def dense_greens(data, t, N):
@@ -119,8 +122,7 @@ def dense_greens(data, t, N):
     """
     k = data.k
     h = TWO_PI / N
-    L = dense_second_order(data, t, N)
-    _, _, idx_marked = _node_values(data, t, N)
+    L, idx_marked = dense_second_order(data, t, N)
     n = data.n
     rhs = np.zeros((N * k, n * k), dtype=complex)
     for alpha in range(n):
@@ -151,11 +153,6 @@ def _bloch_spinor(direction):
     return np.array([math.cos(theta / 2.0),
                      complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0)],
                     dtype=complex)
-
-
-def _pairs(x):
-    x = complex(x)
-    return [x.real, x.imag]
 
 
 def su2_reference_data(m1=1.0, m2=1.0, n1=(0.0, 0.0, 1.0), n2=(0.0, 0.0, -1.0),
@@ -192,26 +189,19 @@ def su2_reference_data(m1=1.0, m2=1.0, n1=(0.0, 0.0, 1.0), n2=(0.0, 0.0, -1.0),
         return (math.sqrt(2.0 * m) * xi).reshape(2, 1)
 
     qs = [q_for(m1, n1), q_for(m2, n2)]
-    intervals = []
-    for vec in (v_mid, v_out):
-        intervals.append({
-            "degree": 0,
-            "T": {"0": [[[[0.0, 0.0]]]],
-                  "1": [[[_pairs(vec[0])]]],
-                  "2": [[[_pairs(vec[1])]]],
-                  "3": [[[_pairs(vec[2])]]]},
-        })
     cfg = {
         "k": 1,
         "lambdas": [lambda1, lambda2],
-        "intervals": intervals,
-        "Q": [[[_pairs(q[0, 0])], [_pairs(q[1, 0])]] for q in qs],
+        "intervals": [{"degree": 0, "T": {str(mu): to_pairs([[[x]]])
+                                          for mu, x in enumerate((0.0, *vec))}}
+                      for vec in (v_mid, v_out)],
+        "Q": [to_pairs(q) for q in qs],
         "description": "SU(2) reference: opposite scalar jumps, rank-1 Q",
     }
     return nahm.from_dict(cfg)
 
 
-def random_valid_data(rng, k=1, n=2, magnitude=0.6, min_gap=0.5):
+def random_valid_data(rng, k=1, n=2, magnitude=0.6):
     """Random dataset with vanishing Nahm and matching residuals.
 
     Block-diagonal superposition of k scalar datasets: piecewise-constant
@@ -228,7 +218,7 @@ def random_valid_data(rng, k=1, n=2, magnitude=0.6, min_gap=0.5):
     while True:
         lams = np.sort(rng.uniform(0.0, TWO_PI, size=n))
         gaps = np.diff(np.concatenate([lams, [lams[0] + TWO_PI]]))
-        if n == 1 or np.min(gaps) > min_gap:
+        if n == 1 or np.min(gaps) > _MIN_GAP:
             break
     owner = rng.integers(0, k, size=n)          # block owning each marked point
     # per block: jump vectors at its points, summing to zero
@@ -252,17 +242,10 @@ def random_valid_data(rng, k=1, n=2, magnitude=0.6, min_gap=0.5):
     check[owner[0]] += jumps[0]
     assert np.allclose(check, values[0], atol=1e-12)
 
-    intervals = []
-    for i in range(n):
-        tmats = {"0": [np.diag(t0).astype(complex)]}
-        for j in (1, 2, 3):
-            tmats[str(j)] = [np.diag(values[i, :, j - 1]).astype(complex)]
-        intervals.append({
-            "degree": 0,
-            "T": {key: [[[_pairs(mat[r, c]) for c in range(k)]
-                         for r in range(k)] for mat in mats]
-                  for key, mats in tmats.items()},
-        })
+    # T_0 = diag(t0) throughout, T_j = diag(values[i, :, j - 1]) on interval i
+    intervals = [{"degree": 0, "T": {str(mu): to_pairs([np.diag(v)])
+                                     for mu, v in enumerate([t0, *values[i].T])}}
+                 for i in range(n)]
     qs = []
     for alpha in range(n):
         b = owner[alpha]
@@ -274,7 +257,7 @@ def random_valid_data(rng, k=1, n=2, magnitude=0.6, min_gap=0.5):
             eb = np.zeros(k)
             eb[b] = 1.0
             col = math.sqrt(2.0 * mag) * np.kron(xi, eb)
-        qs.append([[_pairs(col[r])] for r in range(2 * k)])
+        qs.append(to_pairs(col[:, None]))
     cfg = {
         "k": k,
         "lambdas": [float(x) for x in lams],
@@ -350,7 +333,7 @@ def _states_at_nodes(ev, tag, starts, nodes):
                            for i in range(ev.data.n)])
 
 
-def _df_integral(ev, nu, quad_tol):
+def df_integral(ev, nu, quad_tol):
     """t_nu-derivative of the boundary F-blocks by quadrature, (n, n, k, k):
 
         d_nu F(l_b, l_a) = -2 int F(l_b, s) D_nu(s) F(s, l_a) ds
@@ -433,25 +416,25 @@ def _gram(ev, starts, quad_tol):
     return _refine_panels(ev.data, gram, quad_tol, "Gram quadrature")
 
 
-def zero_modes(data, t, quad_tol=1e-8, tol=1e-10):
+def zero_modes(data, t, tol=1e-10):
     """Zero-mode frame with its Gram matrix over the circle.
 
     The Gram integral is refined (panel doubling) until it stabilizes
-    below quad_tol; the normalization identity gram + chi^2 = id gives
+    below _QUAD_TOL; the normalization identity gram + chi^2 = id gives
     gram_defect.
     """
     ev = greens.GreensEvaluator(data, t, tol)
     chi_mat = connection.chi_from_boundary(data, ev.boundary())
     starts = _zero_mode_starts(ev, chi_mat)
     N = chi_mat.shape[0]
-    gram = _gram(ev, starts, quad_tol)[0]
+    gram = _gram(ev, starts, _QUAD_TOL)[0]
     defect = float(np.max(np.abs(gram + chi_mat @ chi_mat - np.eye(N))))
     return ZeroModeSet(t=tuple(float(x) for x in np.asarray(t, float)),
                        chi=chi_mat, gram=gram, gram_defect=defect,
                        _starts=tuple(starts), _evaluator=ev)
 
 
-def classical_gauge_potential(data, t, h=1e-4, quad_tol=1e-8, tol=1e-10):
+def classical_gauge_potential(data, t, h=1e-4, quad_tol=_QUAD_TOL, tol=1e-10):
     """Gauge potential by direct integration over the circle:
 
         A_mu = int psi^dag d_mu psi ds + chi d_mu chi,

@@ -164,6 +164,15 @@ def test_overflowing_point_is_an_integrator_failure(ref_config, capsys):
     assert row["residual"] is None
 
 
+@pytest.mark.parametrize("t0", ["1e10", "1e15", "1e200"])
+def test_inaccurate_exponential_is_an_integrator_failure(ref_config, t0, capsys):
+    # the 'ddag' exponentials lose their accuracy long before they overflow:
+    # exit 3, not a regular point with an infinite gap
+    rc, out = run(capsys, "regularity", "--config", ref_config,
+                  "--t", f"{t0},0.15,-0.2,0.3")
+    assert (rc, out) == (3, "")
+
+
 def test_overflowing_loop_is_an_integrator_failure(ref_config, capsys):
     # at |t| = 120 the loop's norm e^{2 pi |t|} overflows: exit 3, not a
     # linear-algebra crash, and the scan keeps its ordinary row

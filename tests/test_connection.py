@@ -82,7 +82,7 @@ def test_df_exact_vs_integral(cases):
         ev = greens.GreensEvaluator(data, t)
         exact = ev.boundary(order=1).dF
         for nu in range(4):
-            quad = oracle._df_integral(ev, nu, quad_tol=1e-8)
+            quad = oracle.df_integral(ev, nu, quad_tol=1e-8)
             assert np.max(np.abs(exact[nu] - quad)) < 1e-9
 
 
@@ -93,7 +93,7 @@ def test_df_exact_vs_integral_on_polynomial_data(poly_case):
     ev = greens.GreensEvaluator(data, t)
     exact = ev.boundary(order=1).dF
     for nu in range(4):
-        quad = oracle._df_integral(ev, nu, quad_tol=1e-9)
+        quad = oracle.df_integral(ev, nu, quad_tol=1e-9)
         assert np.max(np.abs(exact[nu] - quad)) < 1e-8
 
 
@@ -135,7 +135,7 @@ def test_gauge_potential_integral_method_agrees(cases, monkeypatch):
         greens.GreensEvaluator, "boundary",
         lambda ev, order=0: dataclasses.replace(
             boundary(ev), jet=np.concatenate(
-                [np.stack([oracle._df_integral(ev, nu, 1e-8) for nu in range(4)]),
+                [np.stack([oracle.df_integral(ev, nu, 1e-8) for nu in range(4)]),
                  boundary(ev).jet])))
     for (data, t), A in zip(cases, exact):
         quad = con.gauge_potential(data, t).A

@@ -114,6 +114,25 @@ def test_nonfinite_constant_transfer_says_so(reference, t, tags):
             assert info.value.location == reference.lambdas[0], tag
 
 
+@pytest.mark.parametrize("t0", [1e10, 1e15, 1e200])
+def test_inaccurate_constant_transfer_says_so(reference, t0):
+    # the 'ddag' coefficient i (T_0 + t_0) stays finite, but the exponential
+    # of so large an |M ds|_1 has lost its accuracy (|det| = 1 exactly)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(IntegrationError, match="inaccurate") as info:
+            mon.Propagator(reference, np.array([t0, 0.15, -0.2, 0.3])
+                           ).interval_transfers("ddag")
+    assert info.value.location == reference.lambdas[0]
+
+
+def test_constant_transfer_below_the_norm_bound_is_accurate(reference):
+    # at t_0 = 1e6 the exponential is kept, and unitary to about u |M ds|_1
+    T = mon.Propagator(reference, np.array([1e6, 0.15, -0.2, 0.3])
+                       ).interval_transfers("ddag")[0]
+    assert abs(abs(np.linalg.det(T)) - 1.0) < 1e-9
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf, True, "1e-10"])
 def test_tol_must_be_a_positive_finite_real(reference, tol):
     # rejected once, where the flows are set up, before any integration
@@ -238,6 +257,16 @@ def test_constant_transfer_evaluates_coeff_once():
     got = mon.transfer(coeff, 0.2, 1.9, constant=True)
     assert calls == [0.2]
     assert np.max(np.abs(got - expm(1.7 * C))) < 1e-13
+
+
+def test_constant_transfer_to_many_points_is_stacked():
+    rng = np.random.default_rng(18)
+    C = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    ends = np.sort(rng.uniform(0.2, 3.0, size=7))
+    got = mon.transfer(lambda s: C, 0.2, ends, constant=True)
+    assert got.shape == (7, 4, 4)
+    for Y, x in zip(got, ends):
+        assert np.array_equal(Y, mon.transfer(lambda s: C, 0.2, x, constant=True))
 
 
 def test_constant_transfer_overflow_raises():
