@@ -88,17 +88,21 @@ def _parse_grid(text):
     """Grid string 'axis=start:stop:count,...' -> four value arrays.
 
     Axes are t0..t3; an axis may also be fixed as 'axis=value'; axes not
-    mentioned default to the single value 0.
+    mentioned default to the single value 0, and an axis given twice is an
+    error.
     """
-    axes = {f"t{i}": np.array([0.0]) for i in range(4)}
+    names = [f"t{i}" for i in range(4)]
+    axes = {}
     if text:
         for item in text.split(","):
             if "=" not in item:
                 raise ValueError(f"bad grid component {item!r}")
             name, _, rng = item.partition("=")
             name = name.strip()
-            if name not in axes:
+            if name not in names:
                 raise ValueError(f"unknown grid axis {name!r}")
+            if name in axes:
+                raise ValueError(f"grid axis {name} given more than once")
             fields = rng.split(":")
             if len(fields) == 1:
                 values = [float(fields[0])]
@@ -111,7 +115,7 @@ def _parse_grid(text):
             else:
                 raise ValueError(f"bad grid component {item!r}")
             axes[name] = _finite(values, f"grid axis {name}")
-    return [axes[f"t{i}"] for i in range(4)]
+    return [axes.get(name, np.array([0.0])) for name in names]
 
 
 def _check_output(path):

@@ -185,17 +185,18 @@ class SelfDualReport:
     norm_total: float
 
 
-def selfdual_residual(data, t, tol=1e-10, curv=None):
+def selfdual_residual(data, t, curv=None):
     """Normalized deviation of the curvature from (anti-)self-duality.
 
     residual = min over eps in {+1, -1} of
         (|F01 - eps F23| + |F02 - eps F31| + |F03 - eps F12|) / total,
     total = sum of |F_{mu nu}| over the six independent pairs (Frobenius
     norms).  orientation is the minimizing eps; a vanishing field returns
-    (0, +1).
+    (0, +1).  curv is the Curvature at t, curvature(data, t) by default;
+    a caller with another ODE tolerance passes curv=curvature(data, t, tol).
     """
     if curv is None:
-        curv = curvature(data, t, tol=tol)
+        curv = curvature(data, t)
     F = curv.F
 
     def nrm(M):

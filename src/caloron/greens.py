@@ -202,28 +202,6 @@ def _hermiticity_defect(blocks):
     return float(np.max(np.abs(blocks.conj().transpose(1, 0, 3, 2) - blocks)))
 
 
-def block_offsets(data):
-    """Start offsets of each marked point's columns in the N-dim boundary space."""
-    offs = []
-    pos = 0
-    for w in data.widths:
-        offs.append(pos)
-        pos += w
-    return offs, pos
-
-
-def _spin_rows(data):
-    """Q by spin row, (2, n k, N): Q_alpha's rows s k .. s k + k - 1 at rows
-    alpha k .. alpha k + k - 1 of sheet s and at alpha's columns."""
-    k = data.k
-    offs, N = block_offsets(data)
-    out = np.zeros((2, data.n * k, N), dtype=complex)
-    for alpha, q in enumerate(data.Q):
-        out[:, alpha * k:(alpha + 1) * k,
-            offs[alpha]:offs[alpha] + q.shape[1]] = q.reshape(2, k, -1)
-    return out
-
-
 def boundary_sandwich(data, blocks):
     """Spin-resolved sandwiches of a whole stack of block sets, (..., 2, 2, N, N).
 
@@ -231,11 +209,12 @@ def boundary_sandwich(data, blocks):
     with (beta, alpha) block Q_beta^dag (e_st (x) blocks[..., beta, alpha])
     Q_alpha for the spin matrix unit e_st, so that the sandwich with any
     spin matrix S is the contraction sum_st S[s, t] Z[..., s, t]; one
-    stacked product for every block set and spin unit.
+    stacked product for every block set and spin unit, with NahmData.boundary_Q
+    by spin row, (2, n k, N), as the factors.
     """
-    nk = data.n * data.k
-    B = np.swapaxes(blocks, -3, -2).reshape(blocks.shape[:-4] + (nk, nk))
-    Qs = _spin_rows(data)
+    n, k = data.n, data.k
+    B = np.swapaxes(blocks, -3, -2).reshape(blocks.shape[:-4] + (n * k, n * k))
+    Qs = data.boundary_Q.reshape(n, 2, k, -1).swapaxes(0, 1).reshape(2, n * k, -1)
     return Qs.conj().swapaxes(-1, -2)[:, None] @ B[..., None, None, :, :] @ Qs
 
 

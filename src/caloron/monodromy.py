@@ -170,7 +170,8 @@ _EXPM_MAX_NORM = 1e-8 / 2.0 ** -53
 
 
 def transfer(coeff, s0, s1, tol=1e-10, constant=False):
-    """Transfer matrix of Y' = coeff(s) Y from s0 to s1 (Y(s0) = id).
+    """Transfer matrix of Y' = coeff(s) Y forward from s0 to s1 >= s0
+    (Y(s0) = id); an end point below s0, or not a number, is a ValueError.
 
     coeff maps a point s to a square complex matrix, and a 1-D array of
     points to the stack of those matrices.  With constant=True coeff is
@@ -184,10 +185,12 @@ def transfer(coeff, s0, s1, tol=1e-10, constant=False):
     on all its stage points, and a non-finite coefficient or stage raises
     IntegrationError.
     """
+    span = np.asarray(s1, dtype=float) - s0
+    if not (span.min() if span.ndim else span) >= 0.0:   # NaN fails too
+        raise ValueError(f"transfer runs forward: end point {s1} is not >= s0 = {s0}")
     if constant:
         with np.errstate(over="ignore", invalid="ignore"):
-            M = np.asarray(coeff(s0), dtype=complex) * (
-                np.asarray(s1, dtype=float) - s0)[..., None, None]
+            M = np.asarray(coeff(s0), dtype=complex) * span[..., None, None]
             norm = np.abs(M).sum(axis=-2).max()
             Y = expm(M) if np.isfinite(norm) else None
         if Y is None or not np.all(np.isfinite(Y)):
@@ -199,14 +202,12 @@ def transfer(coeff, s0, s1, tol=1e-10, constant=False):
                 f"inaccurate exponential of the coefficient at s = {s0:.6g}: "
                 f"|M ds|_1 = {norm:.3g} exceeds {_EXPM_MAX_NORM:.3g}", location=s0)
         return Y
-    span = s1 - s0
     with np.errstate(over="ignore", invalid="ignore"):
         C0 = np.asarray(coeff(s0), dtype=complex)
         m = C0.shape[0]
         Y = np.eye(m, dtype=complex)
-        direction = 1.0 if span > 0 else -1.0
         scale = np.max(np.abs(C0)) + 1e-30
-        h = direction * min(abs(span), max(0.1 / scale, 1e-6 * abs(span)))
+        h = min(span, max(0.1 / scale, 1e-6 * span))
         # the stages stacked, each weighted sum one real product over them;
         # K[0] = f(s, Y), carried over from the last accepted step (FSAL)
         K = np.empty((len(_C), m, m), dtype=complex)
@@ -214,15 +215,15 @@ def transfer(coeff, s0, s1, tol=1e-10, constant=False):
         K[0] = C0
         stages = K[1:].shape
         s, y_max, steps = s0, 1.0, 0
-        while (s1 - s) * direction > 0:
-            if abs(h) < _MIN_STEP_FACTOR * max(1.0, abs(s)):
+        while s1 - s > 0:
+            if h < _MIN_STEP_FACTOR * max(1.0, abs(s)):
                 raise IntegrationError(
                     f"step size underflow at s = {s:.6g}", location=s)
             steps += 1
             if steps > _MAX_STEPS:
                 raise IntegrationError(
                     f"step limit exceeded near s = {s:.6g}", location=s)
-            if (s + h - s1) * direction > 0:
+            if s + h - s1 > 0:
                 h = s1 - s
             Ms = np.asarray(coeff(s + _C[1:] * h), dtype=complex)
             if Ms.shape != stages:
@@ -241,7 +242,7 @@ def transfer(coeff, s0, s1, tol=1e-10, constant=False):
             # dop853's blend of the two estimators, against the max-norm scale
             sc = tol + tol * max(y_max, ynew_max)
             enorm = 0.0 if e5 == 0.0 else (
-                abs(h) * e5 / sc * (e5 / np.hypot(e5, 0.1 * e3)))
+                h * e5 / sc * (e5 / np.hypot(e5, 0.1 * e3)))
             if enorm <= 1.0:
                 s = s + h
                 Y, y_max = Ynew, ynew_max

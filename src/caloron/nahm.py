@@ -34,7 +34,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -65,6 +65,9 @@ class IntervalModel:
 
 @dataclass(frozen=True, eq=False)
 class NahmData:
+    """Nahm data of the schema above, read-only.  The boundary space is C^N,
+    N = total_width; boundary_Q is the one place that lays out the columns
+    of every Q_alpha in it."""
     k: int
     lambdas: np.ndarray          # (n,) increasing, in [0, 2*pi)
     intervals: tuple             # n IntervalModel, intervals[i] on (lambdas[i], lambdas[i+1])
@@ -83,6 +86,15 @@ class NahmData:
     def total_width(self):
         """N = sum of the w_alpha: dimension of the boundary space."""
         return sum(self.widths)
+
+    @property
+    def boundary_Q(self):
+        """𝐐 by marked point, (n, 2k, N): Q_alpha at its own columns of the
+        boundary space (the widths in marked-point order), zero elsewhere."""
+        out = np.zeros((self.n, 2 * self.k, self.total_width), dtype=complex)
+        for alpha, (q, end) in enumerate(zip(self.Q, accumulate(self.widths))):
+            out[alpha, :, end - q.shape[1]:end] = q
+        return out
 
     def interval_bounds(self, i):
         """Endpoints (a, b) of interval i, with b unwrapped (a < b)."""
@@ -151,7 +163,7 @@ def from_dict(cfg):
         tdict = item["T"]
         if not isinstance(tdict, dict) or set(tdict) != {"0", "1", "2", "3"}:
             raise ConfigError(f"{where}.T: expected keys '0','1','2','3'")
-        coeffs = np.zeros((4, deg + 1, k, k), dtype=complex)
+        coeffs = []   # allocated from the checked matrices, not from deg or k
         for mu in range(4):
             arr = tdict[str(mu)]
             if not isinstance(arr, list) or len(arr) != deg + 1:
@@ -159,7 +171,8 @@ def from_dict(cfg):
                     f"{where}.T['{mu}']: expected {deg + 1} coefficient matrices")
             for p in range(deg + 1):
                 mat = _as_complex_matrix(arr[p], k, k, f"{where}.T['{mu}'][{p}]")
-                coeffs[mu, p] = _check_hermitian(mat, f"{where}.T['{mu}'][{p}]")
+                coeffs.append(_check_hermitian(mat, f"{where}.T['{mu}'][{p}]"))
+        coeffs = np.array(coeffs, dtype=complex).reshape(4, deg + 1, k, k)
         coeffs.setflags(write=False)
         intervals.append(IntervalModel(degree=deg, coeffs=coeffs))
 
@@ -190,23 +203,14 @@ def from_dict(cfg):
                     Q=tuple(qs), description=desc)
 
 
-def load(source):
-    """Load NahmData from a JSON file path, a JSON string, or a dict."""
-    if isinstance(source, dict):
-        return from_dict(source)
-    text = None
-    s = str(source)
-    if s.lstrip().startswith("{"):
-        text = s
-    else:
-        try:
-            with open(s, "r") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from None
+def load(path):
+    """Load NahmData from a JSON config file."""
     try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
+    except ValueError as exc:   # not JSON, or not text
         raise ConfigError(f"invalid JSON: {exc}") from None
     return from_dict(cfg)
 
@@ -297,7 +301,7 @@ def jump_T(data, alpha, mu):
     return (signs[:, None, None] * right).sum(axis=0) - left.sum(axis=0)
 
 
-def nahm_residual(data, s, t=None):
+def nahm_residual(data, s):
     """Interior Nahm-equation residual at s, shape (3, k, k).
 
     R_j = i T_j' + [T_0, T_j] + [T_{j+1}, T_{j+2}] (indices cyclic in 1..3).

@@ -10,18 +10,25 @@ independent method exists, so agreement is meaningful.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import connection, greens, monodromy, nahm
-from .errors import ConfigError, IntegrationError
+from .errors import IntegrationError
 from .nahm import TWO_PI, eval_T, locate, to_pairs
 
 _UNIT = np.eye(4)
 _MAX_PANELS = 64   # Gauss-Legendre panels per interval, at most
 _QUAD_TOL = 1e-8   # the zero modes' Gram quadrature converges to this
+_FD_STEP = 1e-4    # central-difference step of classical_gauge_potential
 _MIN_GAP = 0.5     # least spacing of random_valid_data's marked points
+_REGULAR_GAP = 1e-3   # least monodromy gap of a random_regular_t point
+_REGULAR_TRIES = 50   # draws random_regular_t makes before it gives up
+
+# the 12-point Gauss-Legendre rule of every quadrature panel, read-only
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
+_GL_X.setflags(write=False)
+_GL_W.setflags(write=False)
 
 # ---------------------------------------------------------------------------
 # closed form for data with T = 0, Q = 0
@@ -155,47 +162,22 @@ def _bloch_spinor(direction):
                     dtype=complex)
 
 
-def su2_reference_data(m1=1.0, m2=1.0, n1=(0.0, 0.0, 1.0), n2=(0.0, 0.0, -1.0),
-                       lambda1=math.pi / 2.0, lambda2=3.0 * math.pi / 2.0):
-    """Two marked points, k = 1: piecewise-constant T_vec with jumps
-    m1*n1 at lambda1 and m2*n2 at lambda2, T_0 = 0, and rank-1 Q realizing
-    the matching condition at both points.
-
-    The jumps must close up (m1*n1 + m2*n2 = 0) for the interval values
-    to be consistent.
-    """
-    n1 = np.asarray(n1, dtype=float)
-    n2 = np.asarray(n2, dtype=float)
-    for v, name in ((n1, "n1"), (n2, "n2")):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-            raise ConfigError(f"{name} must be a unit vector")
-    if m1 < 0 or m2 < 0:
-        raise ConfigError("jump magnitudes must be non-negative")
-    d1 = m1 * n1
-    d2 = m2 * n2
-    if np.max(np.abs(d1 + d2)) > 1e-12:
-        raise ConfigError("inconsistent parameters: jumps do not close up "
-                          f"(sum {tuple(d1 + d2)})")
-    if not 0.0 <= lambda1 < lambda2 < TWO_PI:
-        raise ConfigError("need 0 <= lambda1 < lambda2 < 2*pi")
-
-    v_mid = 0.5 * d1          # value on (lambda1, lambda2)
-    v_out = -0.5 * d1         # value on the wrapping interval
-
-    def q_for(m, direction):
-        if m == 0.0:
-            return np.zeros((2, 1), dtype=complex)
-        xi = _bloch_spinor(-np.asarray(direction, dtype=float))
-        return (math.sqrt(2.0 * m) * xi).reshape(2, 1)
-
-    qs = [q_for(m1, n1), q_for(m2, n2)]
+def su2_reference_data():
+    """The SU(2) reference dataset of configs/su2_reference.json: k = 1,
+    T_0 = 0, and T_vec = +-(0, 0, 1/2) on (pi/2, 3 pi/2) and on the wrapping
+    interval, so it jumps by n_alpha = +-e_3 at lambda = pi/2, 3 pi/2, where
+    the rank-1 Q_alpha = sqrt(2) xi(-n_alpha) realizes the matching condition
+    (other data: random_valid_data)."""
+    # the rows are n_alpha, so -n_alpha has the file's signed zeros
+    jumps = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     cfg = {
         "k": 1,
-        "lambdas": [lambda1, lambda2],
+        "lambdas": [math.pi / 2.0, 3.0 * math.pi / 2.0],
         "intervals": [{"degree": 0, "T": {str(mu): to_pairs([[[x]]])
                                           for mu, x in enumerate((0.0, *vec))}}
-                      for vec in (v_mid, v_out)],
-        "Q": [to_pairs(q) for q in qs],
+                      for vec in (0.5 * jumps[0], -0.5 * jumps[0])],
+        "Q": [to_pairs(math.sqrt(2.0) * _bloch_spinor(-n).reshape(2, 1))
+              for n in jumps],
         "description": "SU(2) reference: opposite scalar jumps, rank-1 Q",
     }
     return nahm.from_dict(cfg)
@@ -268,15 +250,15 @@ def random_valid_data(rng, k=1, n=2, magnitude=0.6):
     return nahm.from_dict(cfg)
 
 
-def random_regular_t(data, rng, tol=1e-10, gap=1e-3, tries=50):
-    """Draw a t where both first-order monodromies stay away from 1."""
-    for _ in range(tries):
+def random_regular_t(data, rng):
+    """Draw a t where both first-order monodromies stay _REGULAR_GAP away
+    from 1, RuntimeError after _REGULAR_TRIES draws."""
+    for _ in range(_REGULAR_TRIES):
         t = np.array([rng.uniform(0.05, 0.95),
                       rng.uniform(-0.8, 0.8),
                       rng.uniform(-0.8, 0.8),
                       rng.uniform(-0.8, 0.8)])
-        rep = monodromy.regularity(data, t, tol=tol, threshold=gap)
-        if rep.is_regular:
+        if monodromy.regularity(data, t, threshold=_REGULAR_GAP).is_regular:
             return t
     raise RuntimeError("no regular t found")
 
@@ -284,22 +266,13 @@ def random_regular_t(data, rng, tol=1e-10, gap=1e-3, tries=50):
 # ---------------------------------------------------------------------------
 # quadrature over the circle, and the integral route to the boundary derivative
 
-@lru_cache(maxsize=None)
-def _leggauss(order):
-    """leggauss(order), computed once per order and read-only."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
-def _gl_nodes(a, b, panels, order=12):
-    """Composite Gauss-Legendre nodes and weights on (a, b)."""
-    x, w = _leggauss(order)
+def _gl_nodes(a, b, panels):
+    """Composite Gauss-Legendre nodes and weights on (a, b), the 12-point
+    rule on each of `panels` equal panels."""
     edges = np.linspace(a, b, panels + 1)
     half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
     mid = (0.5 * (edges[1:] + edges[:-1]))[:, None]
-    return (half * x + mid).ravel(), (half * w).ravel()
+    return (half * _GL_X + mid).ravel(), (half * _GL_W).ravel()
 
 
 def _refine_panels(data, quantity, quad_tol, what):
@@ -393,12 +366,10 @@ def _zero_mode_starts(ev, chi_mat):
 
     Between marked points psi' = M psi for the D^dagger flow, and at
     lambda_alpha psi jumps by i Q_alpha chi_alpha, with chi_alpha the rows
-    of chi at alpha's columns: the periodic solution with those sources
-    (GreensEvaluator.loop_solution).
+    of chi at alpha's columns: the periodic solution with the sources
+    i boundary_Q chi (GreensEvaluator.loop_solution).
     """
-    offs, _ = greens.block_offsets(ev.data)
-    sources = [1j * q @ chi_mat[o:o + q.shape[1]] for q, o in zip(ev.data.Q, offs)]
-    return ev.loop_solution("ddag", sources)[0]
+    return ev.loop_solution("ddag", 1j * ev.data.boundary_Q @ chi_mat)[0]
 
 
 def _inner(weights, left, right):
@@ -434,14 +405,17 @@ def zero_modes(data, t, tol=1e-10):
                        _starts=tuple(starts), _evaluator=ev)
 
 
-def classical_gauge_potential(data, t, h=1e-4, quad_tol=_QUAD_TOL, tol=1e-10):
+def classical_gauge_potential(data, t, tol=1e-10):
     """Gauge potential by direct integration over the circle:
 
         A_mu = int psi^dag d_mu psi ds + chi d_mu chi,
 
-    with the t-derivatives by central differences of step h.  This is the
-    slow reference route; it must agree with gauge_potential.
+    with the t-derivatives by central differences of step _FD_STEP and the
+    Gram quadrature's panels fixed at the centre point to _QUAD_TOL.  This
+    is the slow reference route; it must agree with gauge_potential (to
+    1e-4 on the reference, criterion 6).
     """
+    h = _FD_STEP
     t = np.asarray(t, dtype=float)
 
     def frame(tp):
@@ -453,7 +427,7 @@ def classical_gauge_potential(data, t, h=1e-4, quad_tol=_QUAD_TOL, tol=1e-10):
     N = chi0.shape[0]
 
     # fix the panel structure with the center-point Gram integral
-    _, nodes, weights = _gram(ev0, starts0, quad_tol)
+    _, nodes, weights = _gram(ev0, starts0, _QUAD_TOL)
     vals0 = _states_at_nodes(ev0, "ddag", starts0, nodes)
 
     A = np.zeros((4, N, N), dtype=complex)
@@ -473,14 +447,14 @@ def classical_gauge_potential(data, t, h=1e-4, quad_tol=_QUAD_TOL, tol=1e-10):
 # ---------------------------------------------------------------------------
 # finite-difference curvature
 
-def fd_curvature(data, t, h, tol=1e-10):
+def fd_curvature(data, t, h):
     """Curvature with the outer derivatives d_rho A_mu by central
     differences of step h of the exact gauge_potential: the cross-check of
     connection.curvature, whose error falls as h^2."""
     t = np.asarray(t, dtype=float)
 
     def potential(tp):
-        return connection.gauge_potential(data, tp, tol=tol).A
+        return connection.gauge_potential(data, tp).A
 
     dA = np.stack([(potential(t + h * e) - potential(t - h * e)) / (2.0 * h)
                    for e in _UNIT])

@@ -24,7 +24,7 @@ def free_config():
             {"degree": 0, "T": {str(mu): [zero_mat(1)] for mu in range(4)}}
         ],
         "Q": [[[[0.0, 0.0]], [[0.0, 0.0]]]],
-        "description": "free field",
+        "description": "free field: T = 0, Q = 0, exactly solvable",
     }
 
 

@@ -176,8 +176,7 @@ def test_criterion_06_compact_equals_classical(reference):
     for t in POINTS:
         assert monodromy.regularity(reference, t).is_regular
         compact = connection.gauge_potential(reference, t)
-        classical = oracle.classical_gauge_potential(reference, t, h=1e-4,
-                                                     quad_tol=1e-8)
+        classical = oracle.classical_gauge_potential(reference, t)
         for mu in range(4):
             worst = max(worst, np.max(np.abs(
                 compact.A[mu] - classical.A[mu])))

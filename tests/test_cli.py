@@ -88,6 +88,18 @@ def test_validate_bad_json(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("key,value", [("degree", 10 ** 12), ("k", 10 ** 6)])
+def test_validate_huge_declared_size_is_a_config_error(ref_config, tmp_path, capsys,
+                                                       key, value):
+    cfg = json.loads(Path(ref_config).read_text())
+    (cfg["intervals"][0] if key == "degree" else cfg)[key] = value
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(cfg))
+    rc = cli.main(["validate", "--config", str(p)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_missing_file(capsys):
     rc, _ = run(capsys, "validate", "--config", "/nonexistent/x.json")
     assert rc == 1
@@ -383,6 +395,15 @@ def test_scan_bad_grid(ref_config, capsys):
     rc, _ = run(capsys, "selfdual-scan", "--config", ref_config,
                 "--grid", "t0=1:2,t1=0,t2=0,t3=0")
     assert rc == 1
+
+
+def test_scan_repeated_grid_axis_is_a_usage_error(ref_config, capsys):
+    # a later t0 would silently replace the earlier one
+    rc = cli.main(["selfdual-scan", "--config", ref_config,
+                   "--grid", "t0=0:1:3,t0=5"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert "grid axis t0 given more than once" in captured.err
 
 
 # ---------------------------------------------------------- oracle-compare

@@ -87,3 +87,98 @@ def test_unread_private_name_is_found():
     b = ast.parse("import a\nprint(a._K, a.__name__)\n")
     assert _unread_private_names({"a": a, "b": b}) == [("a", 1, "_A"), ("a", 2, "_C"),
                                                         ("a", 3, "_f")]
+
+
+# a call with *args or **kwargs passes every parameter
+_EVERYTHING = "*"
+
+
+def _options(trees):
+    """Every parameter with a default of every function and method, as
+    (module, line, function, parameter, position, callees): position None
+    for a keyword-only one, and callees the names its calls go by, a method
+    by its own name and an __init__ by its class's and those of the
+    subclasses that inherit it."""
+    classes = {node.name: node for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+
+    def inherit(cls):
+        heirs = {cls}
+        for name, node in classes.items():
+            own = any(isinstance(f, ast.FunctionDef) and f.name == "__init__"
+                      for f in node.body)
+            if not own and any(isinstance(b, ast.Name) and b.id == cls
+                               for b in node.bases):
+                heirs |= inherit(name)
+        return heirs
+
+    out = []
+    for module, tree in trees.items():
+        owner = {id(f): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for f in cls.body if isinstance(f, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            cls, args = owner.get(id(fn)), fn.args
+            positional = args.posonlyargs + args.args
+            if cls is not None and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                           for d in fn.decorator_list):
+                positional = positional[1:]
+            name, callees = fn.name, {fn.name}
+            if cls is not None and fn.name == "__init__":
+                name, callees = cls.name, inherit(cls.name)
+            first = len(positional) - len(args.defaults)
+            params = [(p.arg, i) for i, p in enumerate(positional) if i >= first]
+            params += [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                       if d is not None]
+            out += [(module, fn.lineno, name, p, i, callees) for p, i in params]
+    return out
+
+
+def _passed(trees):
+    """Per callee name, the positions and keywords its calls pass."""
+    passed = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            given = passed.setdefault(name, set())
+            given.update(range(len(node.args)), (k.arg for k in node.keywords))
+            if (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords)):
+                given.add(_EVERYTHING)
+    return passed
+
+
+def _unpassed_options(package, callers):
+    """Parameters with a default in the package trees that no call in the
+    caller trees passes, by position or by keyword: (module, line, function,
+    parameter)."""
+    passed = _passed(callers)
+    return sorted((module, line, name, param)
+                  for module, line, name, param, pos, callees in _options(package)
+                  if not any({_EVERYTHING, pos, param} & passed.get(c, set())
+                             for c in callees))
+
+
+def test_every_option_is_passed_somewhere():
+    # an option no caller sets is a constant: src/, tests/ and perfbench/ call
+    repo = Path(__file__).resolve().parents[1]
+    package = {p.name: ast.parse(p.read_text(), str(p))
+               for p in Path(caloron.__file__).parent.glob("*.py")}
+    callers = [ast.parse(p.read_text(), str(p)) for d in ("src", "tests", "perfbench")
+               for p in sorted((repo / d).rglob("*.py"))]
+    assert _unpassed_options(package, callers) == []
+
+
+def test_unpassed_option_is_found():
+    a = ast.parse("def f(x, y=1, *, z=2, w=3):\n    pass\n"
+                  "class K:\n    def __init__(self, p=0, q=0):\n        pass\n"
+                  "    def m(self, r=1):\n        pass\n"
+                  "class L(K):\n    pass\n"
+                  "def g(u=1):\n    pass\n")
+    b = ast.parse("f(0, 5, w=4)\nL(1)\nK().m()\ng(*args)\n")
+    assert _unpassed_options({"a": a}, [a, b]) == [("a", 1, "f", "z"), ("a", 4, "K", "q"),
+                                                   ("a", 6, "m", "r")]

@@ -173,9 +173,15 @@ def test_transfer_composition_and_inverse():
     half = mon.transfer(coeff, 1.0, 2.0, tol=1e-12) @ mon.transfer(
         coeff, 0.0, 1.0, tol=1e-12)
     assert np.max(np.abs(full - half)) < 1e-10
-    # backwards integration inverts the forward map
-    back = mon.transfer(coeff, 2.0, 0.0, tol=1e-12)
-    assert np.max(np.abs(back @ full - np.eye(3))) < 1e-10
+    # transfers run forward only: an end point below s0, or not a number,
+    # is rejected on the adaptive and on the exponential path alike
+    for s1 in (0.0, np.nan):
+        with pytest.raises(ValueError, match="forward"):
+            mon.transfer(coeff, 2.0, s1, tol=1e-12)
+        with pytest.raises(ValueError, match="forward"):
+            mon.transfer(lambda s: C, 2.0, s1, constant=True)
+    with pytest.raises(ValueError, match="forward"):
+        mon.transfer(lambda s: C, 1.0, np.array([1.5, 0.5]), constant=True)
 
 
 def test_transfer_tolerance_scaling():

@@ -44,7 +44,7 @@ def test_roundtrip(reference):
         assert np.allclose(qa, qb)
     # json-serializable all the way down
     text = json.dumps(cfg)
-    assert nahm.load(text).k == reference.k
+    assert nahm.from_dict(json.loads(text)).k == reference.k
 
 
 def test_load_from_path(tmp_path, reference):
@@ -57,6 +57,9 @@ def test_load_from_path(tmp_path, reference):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
     with pytest.raises(ConfigError):
+        nahm.load(str(bad))
+    bad.write_bytes(b'\xff\xfe{"k": 1}')   # not UTF-8 text
+    with pytest.raises(ConfigError, match="invalid JSON"):
         nahm.load(str(bad))
 
 
@@ -72,6 +75,10 @@ def test_load_from_path(tmp_path, reference):
     (lambda c: c.update(intervals=c["intervals"][:1]), "length"),
     (lambda c: c.update(Q=c["Q"][:1]), "length"),
     (lambda c: c.update(description=3), "string"),
+    # checked against the matrices given before anything of the declared
+    # size (10^12 coefficients, 10^12-entry blocks) is allocated
+    (lambda c: c["intervals"][0].update(degree=10 ** 12), "coefficient matrices"),
+    (lambda c: c.update(k=10 ** 6), "expected shape"),
 ])
 def test_bad_configs(reference, mutate, msg):
     cfg = nahm.to_dict(reference)
@@ -197,6 +204,19 @@ def test_q_spin_parts(reference):
         for j in (1, 2, 3):
             dj = nahm.jump_T(reference, alpha, j)
             assert np.allclose(dj, 1j * parts[j], atol=1e-14)
+
+
+def test_boundary_Q_places_each_Q_at_its_own_columns():
+    cfg = nahm.to_dict(random_poly_data(np.random.default_rng(5), k=2, n=3, degree=1))
+    cfg["Q"][1] = [[[float(r), float(c)] for c in range(2)] for r in range(4)]  # width 2
+    data = nahm.from_dict(cfg)
+    BQ = data.boundary_Q
+    assert BQ.shape == (3, 4, 4)
+    for alpha, cols in enumerate((slice(0, 1), slice(1, 3), slice(3, 4))):
+        assert np.array_equal(BQ[alpha, :, cols], data.Q[alpha])
+        rest = np.ones(4, dtype=bool)
+        rest[cols] = False
+        assert not np.any(BQ[alpha][:, rest])
 
 
 @pytest.mark.parametrize("degree", [3, 16])

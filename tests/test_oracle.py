@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from caloron import greens, monodromy, nahm, oracle
-from caloron.errors import ConfigError, IntegrationError, IrregularPointError
+from caloron.errors import IntegrationError, IrregularPointError
 
 from conftest import pointwise_flow, random_poly_data, steps_path
 
@@ -71,19 +71,6 @@ def test_su2_reference_layout(reference):
     assert d1 == pytest.approx(-d2)
 
 
-def test_su2_builder_rejects_nonclosing():
-    with pytest.raises(ConfigError):
-        oracle.su2_reference_data(m1=1.0, m2=2.0)
-
-
-def test_su2_builder_other_axis():
-    data = oracle.su2_reference_data(n1=(1.0, 0.0, 0.0), n2=(-1.0, 0.0, 0.0))
-    for alpha in range(2):
-        assert np.max(np.abs(nahm.matching_residual(data, alpha))) < 1e-12
-    assert np.max(np.abs(nahm.jump_T(data, 0, 1))) > 0.1
-    assert np.max(np.abs(nahm.jump_T(data, 0, 3))) < 1e-12
-
-
 @pytest.mark.parametrize("k,n", [(1, 1), (1, 3), (2, 2), (3, 2)])
 def test_random_valid_data_is_on_shell(k, n):
     rng = np.random.default_rng(100 * k + n)
@@ -133,7 +120,7 @@ def test_zero_mode_continuity_inside_intervals(reference):
 def test_zero_mode_jump_at_marked_points(reference):
     # crossing lambda_alpha, psi jumps by i Q_alpha chi_alpha
     zm = oracle.zero_modes(reference, T_REF)
-    offs, _ = greens.block_offsets(reference)
+    offs = np.cumsum([0, *reference.widths])
     for alpha, (lam, q) in enumerate(zip(reference.lambdas, reference.Q)):
         jump = zm.psi(lam + 1e-9) - zm.psi(lam - 1e-9)
         assert np.max(np.abs(jump)) > 1e-3
@@ -153,7 +140,7 @@ def _defining_psi(ev, chi, s):
     marked point."""
     data = ev.data
     n = data.n
-    offs, _ = greens.block_offsets(data)
+    offs = np.cumsum([0, *data.widths])
     steps = ev.steps("ddag")
     ident = np.eye(steps.shape[-1])
     i, x = nahm.locate(data, s)
