@@ -162,11 +162,9 @@ def cmd_validate(args):
     if args.strict:
         worst_nahm = 0.0
         for i in range(data.n):
-            a, b = data.interval_bounds(i)
-            for u in np.linspace(0.05, 0.95, 9):
-                s = a + u * (b - a)
+            for u in np.linspace(-0.9, 0.9, 9):
                 worst_nahm = max(worst_nahm, float(np.max(np.abs(
-                    nahm.nahm_residual(data, s)))))
+                    nahm.interval_residual(data, i, u)))))
         worst_match = 0.0
         for alpha in range(data.n):
             worst_match = max(worst_match, float(np.max(np.abs(
@@ -241,8 +239,10 @@ def cmd_selfdual_scan(args):
     points = [(float(a), float(b), float(c), float(d))
               for a in axes[0] for b in axes[1] for c in axes[2] for d in axes[3]]
     payloads = [(data, p, args.ode_tol) for p in points]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool starts all its workers at once: no more than there are rows
+    workers = min(args.jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_row_full, payloads))
     else:
         rows = [_scan_row_full(p) for p in payloads]

@@ -302,20 +302,32 @@ def jump_T(data, alpha, mu):
 
 
 def nahm_residual(data, s):
-    """Interior Nahm-equation residual at s, shape (3, k, k).
-
-    R_j = i T_j' + [T_0, T_j] + [T_{j+1}, T_{j+2}] (indices cyclic in 1..3).
-    Vanishes identically for valid data.  s must not be a marked point.
-    """
+    """Interior Nahm-equation residual at s, shape (3, k, k): interval_residual
+    of the interval holding s.  s must not be a marked point."""
     if marked_index(data, s) is not None:
         raise ValueError(
             f"s = {s} is a marked point; use matching_residual there")
-    T = [eval_T(data, mu, s) for mu in range(4)]
-    dT = [eval_T_deriv(data, j, s) for j in (1, 2, 3)]
+    i, su = locate(data, s)
+    a, b = data.interval_bounds(i)
+    return interval_residual(data, i, (2.0 * su - a - b) / (b - a))
+
+
+def interval_residual(data, i, u):
+    """Nahm-equation residual on interval i at its Chebyshev coordinate u,
+    shape (3, k, k).
+
+    R_j = i T_j' + [T_0, T_j] + [T_{j+1}, T_{j+2}] (indices cyclic in 1..3).
+    Vanishes identically for valid data.  Needs no lookup on the circle, so
+    it holds up however close two marked points are.
+    """
+    a, b = data.interval_bounds(i)
+    coeffs = np.moveaxis(data.intervals[i].coeffs, 1, 0)   # (p, mu, k, k)
+    T = chebyshev.chebval(u, coeffs)
+    dT = chebyshev.chebval(u, chebyshev.chebder(coeffs)) * (2.0 / (b - a))
     out = np.empty((3, data.k, data.k), dtype=complex)
     for j in (1, 2, 3):
         jp, jpp = 1 + (j % 3), 1 + ((j + 1) % 3)
-        out[j - 1] = (1j * dT[j - 1]
+        out[j - 1] = (1j * dT[j]
                       + T[0] @ T[j] - T[j] @ T[0]
                       + T[jp] @ T[jpp] - T[jpp] @ T[jp])
     return out

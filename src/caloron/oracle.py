@@ -48,105 +48,54 @@ def free_field_F(r, x, y):
 # ---------------------------------------------------------------------------
 # dense grid discretization
 
-def _node_values(data, t, N):
-    """Per-node coefficient blocks, averaging one-sided limits on marked nodes.
+def dense_greens(data, t, N):
+    """Boundary F-blocks from the lattice covariant laplacian (oracle path).
 
-    Returns (A0, W, idx_marked): A0[i] = T_0(s_i) + t_0 and
-    W[i] = sum_j (T_j + t_j)^2, each k x k; idx_marked maps marked-point
-    index -> node index (marked points must sit on grid nodes).
+    Discretizes the finv operator -(d/ds - i A_0)^2 + W, A_0 = T_0 + t_0,
+    W = sum_j (T_j + t_j)^2, on the nodes s_i = i h, h = 2 pi / N: the edge
+    (i, i+1) carries the link U_i = exp(-i h A_0) with A_0 at its midpoint,
+    W on a marked node is the mean of its one-sided limits, and the node
+    adds 1/h times the jump coefficient.  Marked points must be distinct
+    nodes.  Solves with sources 1/h at the marked nodes and reads the values
+    there, second order in h on every dataset; returns a BoundaryGreens
+    with G = None.
     """
-    k = data.k
+    k, n = data.k, data.n
     h = TWO_PI / N
     t = np.asarray(t, dtype=float)
-    idx_marked = {}
-    for alpha, lam in enumerate(data.lambdas):
-        pos = lam / h
-        node = int(round(pos))
-        if abs(pos - node) * h > 1e-10:
-            raise ValueError(
-                f"marked point {lam} does not sit on the N = {N} grid")
-        idx_marked[alpha] = node % N
-    marked_nodes = {v: a for a, v in idx_marked.items()}
+    nodes = np.rint(data.lambdas / h).astype(int)
+    for lam, node in zip(data.lambdas, nodes):
+        if abs(lam - node * h) > 1e-10:
+            raise ValueError(f"marked point {lam} does not sit on the N = {N} grid")
+    nodes %= N
+    if len(set(nodes)) < n:
+        raise ValueError(f"two marked points share a node of the N = {N} grid")
     idk = np.eye(k)
-    A0 = np.empty((N, k, k), dtype=complex)
-    W = np.empty((N, k, k), dtype=complex)
-    for i in range(N):
-        s = i * h
-        sides = ("left", "right") if i in marked_nodes else ("right",)
-        a_acc = np.zeros((k, k), dtype=complex)
-        w_acc = np.zeros((k, k), dtype=complex)
-        for side in sides:
-            a_s = eval_T(data, 0, s, side) + t[0] * idk
-            a_acc += a_s
-            for j in (1, 2, 3):
-                Tj = eval_T(data, j, s, side) + t[j] * idk
-                w_acc += Tj @ Tj
-        A0[i] = a_acc / len(sides)
-        W[i] = w_acc / len(sides)
-    return A0, W, idx_marked
 
+    def square_sum(s, side="right"):
+        Tj = [eval_T(data, j, s, side) + t[j] * idk for j in (1, 2, 3)]
+        return sum(X @ X for X in Tj)
 
-def dense_second_order(data, t, N):
-    """Dense hermitian discretization of the finv operator on an N-point
-    periodic grid (marked points must be grid nodes).
-
-    Uses the compact 3-point laplacian, the symmetrized first-order part
-    i (A Dc + Dc A) with the central difference Dc, multiplication terms
-    averaged at marked nodes, and the marked-point potentials as 1/h
-    times the jump coefficient on the node.  Returns the operator and
-    idx_marked, the node of every marked point.
-    """
-    k = data.k
-    h = TWO_PI / N
-    A0, W, idx_marked = _node_values(data, t, N)
-    dim = N * k
-    L = np.zeros((dim, dim), dtype=complex)
-    eye_k = np.eye(k)
-    for i in range(N):
-        ip, im_ = (i + 1) % N, (i - 1) % N
-        sl = slice(i * k, (i + 1) * k)
-        # compact laplacian -d^2/ds^2
-        L[sl, sl] += (2.0 / h ** 2) * eye_k
-        L[sl, ip * k:(ip + 1) * k] += (-1.0 / h ** 2) * eye_k
-        L[sl, im_ * k:(im_ + 1) * k] += (-1.0 / h ** 2) * eye_k
-        # i (A Dc + Dc A), Dc the central difference
-        L[sl, ip * k:(ip + 1) * k] += 1j * (A0[i] + A0[ip]) / (2.0 * h)
-        L[sl, im_ * k:(im_ + 1) * k] += -1j * (A0[i] + A0[im_]) / (2.0 * h)
-        # multiplication terms A^2 + sum (T_j + t_j)^2
-        L[sl, sl] += A0[i] @ A0[i] + W[i]
-    for alpha, node in idx_marked.items():
-        sl = slice(node * k, (node + 1) * k)
-        L[sl, sl] += nahm.q_spin_parts(data, alpha)[0] / h
-    return L, idx_marked
-
-
-def dense_greens(data, t, N):
-    """Boundary F-blocks from the dense discretization (oracle path).
-
-    Solves the dense system with discrete delta sources at the marked
-    nodes and reads off the values there; returns a BoundaryGreens with
-    G = None.
-    """
-    k = data.k
-    h = TWO_PI / N
-    L, idx_marked = dense_second_order(data, t, N)
-    n = data.n
-    rhs = np.zeros((N * k, n * k), dtype=complex)
-    for alpha in range(n):
-        node = idx_marked[alpha]
-        for c in range(k):
-            rhs[node * k + c, alpha * k + c] = 1.0 / h
-    sol = np.linalg.solve(L, rhs)
-    F = np.empty((n, n, k, k), dtype=complex)
-    for beta in range(n):
-        nb = idx_marked[beta]
-        for alpha in range(n):
-            F[beta, alpha] = sol[nb * k:(nb + 1) * k,
-                                 alpha * k:(alpha + 1) * k]
-    herm = greens._hermiticity_defect(F)
-    return greens.BoundaryGreens(t=tuple(float(x) for x in np.asarray(t, float)),
-                                 jet=F[None], G=None, diag_defect=0.0,
-                                 herm_defect=herm)
+    diag = np.array([2.0 / h ** 2 * idk + square_sum(i * h) for i in range(N)],
+                    dtype=complex)
+    for alpha, (lam, node) in enumerate(zip(data.lambdas, nodes)):
+        diag[node] = (2.0 / h ** 2 * idk + nahm.q_spin_parts(data, alpha)[0] / h
+                      + 0.5 * (square_sum(lam, "left") + square_sum(lam)))
+    A0 = np.array([eval_T(data, 0, (i + 0.5) * h) for i in range(N)]) + t[0] * idk
+    w, V = np.linalg.eigh(A0)
+    hop = -(V * np.exp(-1j * h * w)[:, None, :]) @ V.conj().swapaxes(1, 2) / h ** 2
+    i = np.arange(N)
+    L = np.zeros((N, k, N, k), dtype=complex)
+    L[i, :, i] = diag
+    L[i, :, (i + 1) % N] = hop
+    L[(i + 1) % N, :, i] = hop.conj().swapaxes(1, 2)
+    rhs = np.zeros((N, k, n, k), dtype=complex)
+    rhs[nodes, :, np.arange(n)] = idk / h
+    sol = np.linalg.solve(L.reshape(N * k, N * k), rhs.reshape(N * k, n * k))
+    F = sol.reshape(N, k, n, k)[nodes].transpose(0, 2, 1, 3)
+    return greens.BoundaryGreens(t=tuple(float(x) for x in t), jet=F[None],
+                                 G=None, diag_defect=0.0,
+                                 herm_defect=greens._hermiticity_defect(F))
 
 
 # ---------------------------------------------------------------------------

@@ -30,18 +30,8 @@ def ref_config_degree1(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def free_config_path(tmp_path_factory):
-    cfg = {
-        "k": 1,
-        "lambdas": [float(np.pi)],
-        "intervals": [{"degree": 0,
-                       "T": {str(mu): [[[[0.0, 0.0]]]] for mu in range(4)}}],
-        "Q": [[[[0.0, 0.0]], [[0.0, 0.0]]]],
-        "description": "free field",
-    }
-    p = tmp_path_factory.mktemp("cfg") / "free.json"
-    p.write_text(json.dumps(cfg))
-    return str(p)
+def free_config_path():
+    return str(Path(__file__).resolve().parents[1] / "configs" / "free_field.json")
 
 
 def run(capsys, *argv):
@@ -79,6 +69,20 @@ def test_validate_strict_catches_off_shell(ref_config, tmp_path, capsys):
     rc, out = run(capsys, "validate", "--config", str(p), "--strict")
     assert rc == 2
     assert json.loads(out)["valid"] is False
+
+
+def test_validate_strict_near_coincident_marked_points(ref_config, tmp_path, capsys):
+    # the residuals are sampled in each interval's own coordinate, so a
+    # 1e-11-wide interval gets a verdict instead of a marked-point error
+    cfg = json.loads(Path(ref_config).read_text())
+    cfg["lambdas"] = [np.pi / 2, np.pi / 2 + 1e-11]
+    p = tmp_path / "close.json"
+    p.write_text(json.dumps(cfg))
+    rc, out = run(capsys, "validate", "--config", str(p))
+    assert rc == 0 and json.loads(out)["valid"] is True
+    rc, out = run(capsys, "validate", "--config", str(p), "--strict")
+    assert rc in (0, 2)
+    assert "nahm_residual" in json.loads(out)
 
 
 def test_validate_bad_json(tmp_path, capsys):
@@ -344,6 +348,41 @@ def test_scan_keeps_rows_after_integrator_failure(ref_config_degree1, capsys,
         assert row["residual"] is None
         assert row["orientation"] is None
         assert row["action_density"] is None
+
+
+class _RecordingPool:
+    """Stand-in for ProcessPoolExecutor that records its worker count and
+    maps in this process."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("grid,workers", [
+    ("t0=0.2:0.4:3,t1=0.15,t2=-0.2,t3=0.3", [3]),
+    ("t0=0.25,t1=0.15,t2=-0.2,t3=0.3", []),
+])
+def test_scan_starts_no_more_workers_than_rows(ref_config, capsys, monkeypatch,
+                                               grid, workers):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    rc, out = run(capsys, "selfdual-scan", "--config", ref_config,
+                  "--grid", grid, "--jobs", "64")
+    assert rc == 0
+    assert _RecordingPool.sizes == workers
+    rows = json.loads(out)["rows"]
+    assert len(rows) == max(workers, default=1)
+    assert all(row["status"] == "ok" for row in rows)
 
 
 def test_scan_csv_json_agree(ref_config, tmp_path, capsys):

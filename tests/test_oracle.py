@@ -1,5 +1,7 @@
 """Independent checks: dense grid operator, dataset builders, zero modes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,62 @@ def test_dense_requires_aligned_marked_points(reference):
     # lambda = pi/2 needs N divisible by 4
     with pytest.raises(ValueError):
         oracle.dense_greens(reference, T_REF, 130)
+
+
+def test_dense_rejects_marked_points_sharing_a_node(reference):
+    # 1e-11 apart, both sit on one node: one source there would stand for
+    # two marked points and a 1e-11-wide interval
+    close = dataclasses.replace(reference, lambdas=np.array([np.pi / 2, np.pi / 2 + 1e-11]))
+    with pytest.raises(ValueError, match="share a node"):
+        oracle.dense_greens(close, T_REF, 256)
+
+
+def _on_quarter_nodes(data):
+    """data with its two marked points moved to pi/2 and 3 pi/2, nodes of
+    every grid whose size is divisible by 4."""
+    return dataclasses.replace(data, lambdas=np.array([np.pi / 2, 3 * np.pi / 2]))
+
+
+def _t0_jumping_reference():
+    """The reference with T_0 = 0.4 on (pi/2, 3 pi/2) and -0.3 on its
+    complement: T_0 jumps at both marked points."""
+    cfg = nahm.to_dict(oracle.su2_reference_data())
+    for interval, x in zip(cfg["intervals"], (0.4, -0.3)):
+        interval["T"]["0"] = nahm.to_pairs([[[x]]])
+    return nahm.from_dict(cfg)
+
+
+@pytest.mark.parametrize("case", ["t0_jump", "k2_degree3"])
+def test_dense_is_second_order_where_t0_varies(case):
+    # the links carry A_0 at edge midpoints, so neither a T_0 jump at a
+    # marked node nor non-commuting s-dependent T_0 costs an order; A_0
+    # sampled on the nodes, averaged on marked ones, reads 0.99 and 1.04
+    if case == "t0_jump":
+        data = _t0_jumping_reference()
+    else:
+        data = _on_quarter_nodes(random_poly_data(np.random.default_rng(11),
+                                                  k=2, n=2, degree=3))
+    t = np.array([0.3, 0.2, -0.1, 0.25])
+    bg = greens.boundary_greens(data, t)
+    sizes = np.array([128, 256, 512, 1024])
+    errs = [np.max(np.abs(oracle.dense_greens(data, t, int(N)).F - bg.F))
+            for N in sizes]
+    assert -np.polyfit(np.log(sizes), np.log(errs), 1)[0] >= 1.8, errs
+
+
+def test_dense_uses_no_ode_machinery(reference, monkeypatch):
+    cases = [reference, _on_quarter_nodes(random_poly_data(
+        np.random.default_rng(4), k=2, n=2, degree=2))]
+    want = [oracle.dense_greens(data, T_REF, 64).F for data in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the dense route reached the ODE machinery")
+
+    monkeypatch.setattr(monodromy, "transfer", forbidden)
+    monkeypatch.setattr(monodromy, "expm", forbidden)
+    monkeypatch.setattr(greens.GreensEvaluator, "loop_solution", forbidden)
+    for data, F in zip(cases, want):
+        np.testing.assert_array_equal(oracle.dense_greens(data, T_REF, 64).F, F)
 
 
 # --------------------------------------------------------- dataset builders
