@@ -145,12 +145,8 @@ def _emit(args, text):
             sys.stdout.write("\n")
 
 
-def _load_config(args):
-    return nahm.load(args.config)
-
-
 def cmd_validate(args):
-    data = _load_config(args)
+    data = nahm.load(args.config)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "valid": True,
@@ -182,7 +178,7 @@ def cmd_validate(args):
 
 
 def cmd_regularity(args):
-    data = _load_config(args)
+    data = nahm.load(args.config)
     t = _parse_t(args.t)
     rep = monodromy.regularity(data, t, tol=args.ode_tol)
     doc = {
@@ -198,7 +194,7 @@ def cmd_regularity(args):
 
 
 def cmd_connection(args):
-    data = _load_config(args)
+    data = nahm.load(args.config)
     t = _parse_t(args.t)
     pot = connection.gauge_potential(data, t, tol=args.ode_tol)
     doc = {
@@ -234,7 +230,7 @@ def _scan_row_full(payload):
 
 
 def cmd_selfdual_scan(args):
-    data = _load_config(args)
+    data = nahm.load(args.config)
     axes = _parse_grid(args.grid)
     points = [(float(a), float(b), float(c), float(d))
               for a in axes[0] for b in axes[1] for c in axes[2] for d in axes[3]]
@@ -270,7 +266,7 @@ def cmd_selfdual_scan(args):
 
 
 def cmd_oracle_compare(args):
-    data = _load_config(args)
+    data = nahm.load(args.config)
     t = _parse_t(args.t)
     bg = greens.boundary_greens(data, t, tol=args.ode_tol)
     dense = oracle.dense_greens(data, t, args.N)

@@ -10,7 +10,12 @@ class ConfigError(CaloronError):
 
 
 class IntegrationError(CaloronError):
-    """The adaptive ODE integrator failed (step underflow / blow-up)."""
+    """A transfer, loop or Green's block could not be computed accurately:
+    the adaptive ODE integrator failed (step underflow / blow-up), an
+    interval exponential was non-finite or inaccurate, a loop was
+    non-finite, the diagonal limits at a marked point disagreed, a boundary
+    Green's matrix lost hermiticity, or an oracle quadrature did not
+    converge."""
 
     def __init__(self, message, location=None):
         super().__init__(message)

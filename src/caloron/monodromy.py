@@ -48,7 +48,7 @@ import numpy as np
 
 from . import nahm
 from .errors import IntegrationError
-from .spin import kron_spin, spin_trace
+from .spin import spin_trace
 
 # DOP853, the explicit Runge-Kutta pair of order 8 with 5th- and 3rd-order
 # error estimators (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10;
@@ -260,17 +260,7 @@ def jump_block(data, alpha, tag="finv"):
     q = data.Q[alpha]
     QQ = q @ q.conj().T
     J = 1j * nahm.jump_T(data, alpha, 0) + 0.5 * spin_trace(QQ)
-    return kron_spin(np.eye(2), J) - QQ if tag == "ddagd" else J
-
-
-def second_order_jump(data, alpha, tag="finv"):
-    """Marked-point jump map kron(id_S, [[id, 0], [J, id]]) of the flow `tag`
-    on its S stacked companion states (nahm.JET), J = jump_block(data, alpha,
-    tag); Propagator.steps applies it as a row update instead."""
-    J = jump_block(data, alpha, tag)
-    jump = np.eye(2 * len(J), dtype=complex)
-    jump[len(J):, :len(J)] = J
-    return np.kron(np.eye(len(nahm.jet_states(nahm.JET[tag]))), jump)
+    return np.kron(np.eye(2), J) - QQ if tag == "ddagd" else J
 
 
 def _closed_transfers(data, coefficient, tol):

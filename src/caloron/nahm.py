@@ -281,17 +281,6 @@ def eval_T(data, mu, s, side="right"):
     return chebyshev.chebval(u, data.intervals[i].coeffs[mu])
 
 
-def eval_T_deriv(data, mu, s, side="right"):
-    """dT_mu/ds at s (one-sided on marked points)."""
-    i, su = locate(data, s, side)
-    a, b = data.interval_bounds(i)
-    u = (2.0 * su - a - b) / (b - a)
-    dc = chebyshev.chebder(data.intervals[i].coeffs[mu], m=1, axis=0)
-    if dc.shape[0] == 0:
-        return np.zeros((data.k, data.k), dtype=complex)
-    return chebyshev.chebval(u, dc) * (2.0 / (b - a))
-
-
 def jump_T(data, alpha, mu):
     """Discontinuity T_mu(lambda_alpha^+) - T_mu(lambda_alpha^-) from the
     Chebyshev ends T_p(-1) = (-1)^p of interval alpha, T_p(1) = 1 of alpha-1."""
@@ -493,12 +482,12 @@ def flow_coefficient(data, t, i, tag):
     M, affine in the blocks C, B and A_mu = T_mu+t_mu (placed by the cached
     gather of _assembly), is a polynomial of degree d (first order) or 2d
     (second order) in the interval's variable u for T of degree d.  So it
-    is built once, exactly, as a 64-byte aligned Chebyshev series from its
-    values at as many Chebyshev points as it has terms; coeff(s) is one
-    basis-vector product (exact on a degree-0 interval, a one-term series),
-    and coeff of a 1-D array of q points the (q, dim, dim) stack from one
-    basis-matrix product: an adaptive transfer evaluates all stages of a
-    step at once.
+    is built once, exactly, as a Chebyshev series from its values at as
+    many Chebyshev points as it has terms (exact on a degree-0 interval, a
+    one-term series).  coeff of a 1-D array of q points is the (q, dim, dim)
+    stack from one basis-matrix product, so an adaptive transfer evaluates
+    all stages of a step at once; coeff of one point is its (dim, dim)
+    matrix.
     """
     t = np.asarray(t, dtype=float)
     if t.shape != (4,):
@@ -518,23 +507,16 @@ def flow_coefficient(data, t, i, tag):
         dA0 = np.tensordot(V[:, :d], dc0, axes=1) * (2.0 / (b - a))
     index, weight = _assembly(tag, data.k)
     dim = math.isqrt(index.shape[1])
-    # re and im side by side (both products real), from a 64-byte boundary
-    raw = np.empty(2 * P * dim * dim + 8)
-    series = raw[(-raw.ctypes.data % 64) // 8:][:2 * P * dim * dim].reshape(P, -1)
     with np.errstate(over="ignore", invalid="ignore"):
         # a non-finite block gives a non-finite M, which fails its transfer
         C = 1j * dA0 + (A @ A).sum(axis=1)
         blocks = np.concatenate([C[:, None], 2j * A[:, :1], A], axis=1)
         z = np.column_stack([blocks.reshape(P, -1), np.ones(P), np.zeros(P)])
         M = (weight * np.take(z, index, axis=1)).sum(axis=1)
-        np.matmul(Vinv, M.view(float), out=series)
+        series = Vinv @ M.view(float)   # re and im side by side, both real
     orders = np.arange(P)
 
     def coeff(s):
-        if isinstance(s, float):   # one point, without array overhead
-            u = min(1.0, max(-1.0, (2.0 * float(s) - a - b) / (b - a)))
-            basis = np.cos(orders * math.acos(u))
-            return (basis @ series).view(complex).reshape(dim, dim)
         u = np.clip((2.0 * np.asarray(s, dtype=float) - a - b) / (b - a), -1.0, 1.0)
         basis = np.cos(np.multiply.outer(np.arccos(u), orders))
         return (basis @ series).view(complex).reshape(u.shape + (dim, dim))

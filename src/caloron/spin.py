@@ -11,7 +11,7 @@ Conventions used throughout the package:
   ``EBAR[j] = -E[j]`` (equals the hermitian adjoint of ``E[mu]``).
 
 A matrix on C^2 (x) C^k is stored with the spin factor as the *outer*
-Kronecker factor: ``kron_spin(s, m) = np.kron(s, m)`` has block structure
+Kronecker factor: ``np.kron(s, m)`` has block structure
 ``[[s00*m, s01*m], [s10*m, s11*m]]``.  ``spin_decompose`` inverts the
 expansion M = sum_mu kron(E[mu], M_mu).
 """
@@ -39,16 +39,6 @@ def pauli(mu):
     return SIGMA[mu]
 
 
-def e_unit(mu):
-    """Quaternion unit e_mu on C^2 (e_0 = id, e_j = -i sigma_j)."""
-    return E[mu]
-
-
-def e_bar(mu):
-    """Conjugate quaternion unit (= e_unit(mu).conj().T)."""
-    return EBAR[mu]
-
-
 def e_bracket(nu, mu):
     """Antisymmetrized product ebar_nu e_mu - ebar_mu e_nu (2x2).
 
@@ -65,17 +55,6 @@ for _row in BRACKET:
         _m.setflags(write=False)
 
 
-def kron_spin(s, m):
-    """Kronecker product with the 2x2 spin factor s outermost.
-
-    Equal to np.kron(s, m) element for element (each entry is the one
-    product s[i, j] * m[a, b]), as a broadcast product without its overhead.
-    """
-    s, m = np.asarray(s), np.asarray(m)
-    return (s[:, None, :, None] * m[None, :, None, :]).reshape(
-        s.shape[0] * m.shape[0], s.shape[1] * m.shape[1])
-
-
 def spin_trace(M):
     """Partial trace over the spin factor: (2k x 2k) -> (k x k)."""
     k = M.shape[0] // 2
@@ -90,9 +69,4 @@ def spin_decompose(M):
     """
     k = M.shape[0] // 2
     idk = np.eye(k)
-    return [0.5 * spin_trace(kron_spin(EBAR[mu], idk) @ M) for mu in range(4)]
-
-
-def spin_compose(parts):
-    """Inverse of spin_decompose: sum_mu kron(E[mu], parts[mu])."""
-    return sum(kron_spin(E[mu], parts[mu]) for mu in range(4))
+    return [0.5 * spin_trace(np.kron(EBAR[mu], idk) @ M) for mu in range(4)]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 
-from caloron import nahm, oracle, spin
+from caloron import monodromy, nahm, oracle, spin
 
 
 def zero_mat(k):
@@ -31,6 +32,57 @@ def free_config():
 @pytest.fixture(scope="session")
 def free_data(free_config):
     return nahm.from_dict(free_config)
+
+
+TWIN_DEGREE = 16
+TWIN_AMPLITUDE = 0.3   # phi(s) = TWIN_AMPLITUDE * sin(s)
+
+
+def gauge_twin(data, X):
+    """Degree-TWIN_DEGREE Chebyshev fit of data under the periodic gauge
+    transformation g(s) = exp(i phi(s) X): T_0 -> g T_0 g^dag + phi'(s) X,
+    T_j -> g T_j g^dag and Q_alpha -> (id2 (x) g(lambda_alpha)) Q_alpha.
+    Valid degree-0 data give degree > 0, non-commuting valid data with the
+    same Q^dag F Q, chi and A."""
+    w, V = np.linalg.eigh(X)
+
+    def g(s):
+        return (V * np.exp(1j * TWIN_AMPLITUDE * np.sin(s) * w)) @ V.conj().T
+
+    u = np.cos(np.pi * (np.arange(TWIN_DEGREE + 1) + 0.5) / (TWIN_DEGREE + 1))
+    intervals = []
+    for i in range(data.n):
+        a, b = data.interval_bounds(i)
+        const = data.intervals[i].coeffs[:, 0]
+        vals = np.empty((4, TWIN_DEGREE + 1, data.k, data.k), dtype=complex)
+        for p, s in enumerate(0.5 * (a + b) + 0.5 * (b - a) * u):
+            gs = g(s)
+            for mu in range(4):
+                vals[mu, p] = gs @ const[mu] @ gs.conj().T
+            vals[0, p] += TWIN_AMPLITUDE * np.cos(s) * X
+        T = {}
+        for mu in range(4):
+            c = chebyshev.chebfit(u, vals[mu].reshape(TWIN_DEGREE + 1, -1), TWIN_DEGREE)
+            c = c.reshape(TWIN_DEGREE + 1, data.k, data.k)
+            T[str(mu)] = nahm.to_pairs(0.5 * (c + c.conj().transpose(0, 2, 1)))
+        intervals.append({"degree": TWIN_DEGREE, "T": T})
+    return nahm.from_dict({
+        "k": data.k,
+        "lambdas": [float(x) for x in data.lambdas],
+        "intervals": intervals,
+        "Q": [nahm.to_pairs(np.kron(np.eye(2), g(lam)) @ q)
+              for lam, q in zip(data.lambdas, data.Q)],
+    })
+
+
+@pytest.fixture(scope="session")
+def twin_case():
+    """(constant data, its degree-16 twin, a regular t): k = 2, n = 3."""
+    rng = np.random.default_rng(42)
+    data = oracle.random_valid_data(rng, k=2, n=3, magnitude=0.3)
+    t = oracle.random_regular_t(data, rng)
+    X = np.array([[0.6, 0.3 - 0.5j], [0.3 + 0.5j, -0.2]])
+    return data, gauge_twin(data, X / np.linalg.norm(X)), t
 
 
 def random_poly_data(rng, k=2, n=2, degree=3, magnitude=0.3):
@@ -65,7 +117,7 @@ def random_poly_data(rng, k=2, n=2, degree=3, magnitude=0.3):
 
 def direct_flow_matrix(data, t, i, tag, u):
     """The flow matrix of `tag` at u on interval i, rebuilt pointwise from
-    eval_T / eval_T_deriv.
+    eval_T and, for T_0', numpy's chebder / chebval.
 
     Besides the flows of nahm.flow_coefficient it builds 'd', the Weyl
     matrix of D, which the package never integrates: the tests check the D
@@ -80,7 +132,8 @@ def direct_flow_matrix(data, t, i, tag, u):
         sign = -1.0 if tag == "ddag" else 1.0
         return np.kron(np.eye(2), 1j * A[0]) + sign * sum(
             np.kron(spin.pauli(j), A[j]) for j in (1, 2, 3))
-    C = 1j * nahm.eval_T_deriv(data, 0, s, side) + sum(X @ X for X in A)
+    dc0 = chebyshev.chebder(data.intervals[i].coeffs[0], axis=0)
+    C = 1j * chebyshev.chebval(u, dc0) * (2.0 / (b - a)) + sum(X @ X for X in A)
     B = 2j * A[0]
     if tag == "ddagd":
         C, B = np.kron(np.eye(2), C), np.kron(np.eye(2), B)
@@ -115,6 +168,16 @@ def direct_flow_matrix(data, t, i, tag, u):
             add((mu, nu), (nu,), dM[mu])
             add((mu, nu), (mu,), dM[nu])
     return out
+
+
+def second_order_jump(data, alpha, tag="finv"):
+    """Marked-point jump map kron(id_S, [[id, 0], [J, id]]) of the flow `tag`
+    on its S stacked companion states (nahm.JET), J = jump_block(data, alpha,
+    tag); Propagator.steps applies it as a row update instead."""
+    J = monodromy.jump_block(data, alpha, tag)
+    jump = np.eye(2 * len(J), dtype=complex)
+    jump[len(J):, :len(J)] = J
+    return np.kron(np.eye(len(nahm.jet_states(nahm.JET[tag]))), jump)
 
 
 def degree1_config(data):

@@ -12,60 +12,15 @@ that of the piecewise-constant original.
 """
 
 import numpy as np
-import pytest
-from numpy.polynomial import chebyshev
 
 from caloron import connection, greens, monodromy, nahm, oracle
 
-DEGREE = 16
-AMPLITUDE = 0.3   # phi(s) = AMPLITUDE * sin(s)
-
-
-def gauge_twin(data, X):
-    """Degree-DEGREE Chebyshev fit of data under g(s) = exp(i phi(s) X)."""
-    w, V = np.linalg.eigh(X)
-
-    def g(s):
-        return (V * np.exp(1j * AMPLITUDE * np.sin(s) * w)) @ V.conj().T
-
-    u = np.cos(np.pi * (np.arange(DEGREE + 1) + 0.5) / (DEGREE + 1))
-    intervals = []
-    for i in range(data.n):
-        a, b = data.interval_bounds(i)
-        const = data.intervals[i].coeffs[:, 0]
-        vals = np.empty((4, DEGREE + 1, data.k, data.k), dtype=complex)
-        for p, s in enumerate(0.5 * (a + b) + 0.5 * (b - a) * u):
-            gs = g(s)
-            for mu in range(4):
-                vals[mu, p] = gs @ const[mu] @ gs.conj().T
-            vals[0, p] += AMPLITUDE * np.cos(s) * X
-        T = {}
-        for mu in range(4):
-            c = chebyshev.chebfit(u, vals[mu].reshape(DEGREE + 1, -1), DEGREE)
-            c = c.reshape(DEGREE + 1, data.k, data.k)
-            T[str(mu)] = nahm.to_pairs(0.5 * (c + c.conj().transpose(0, 2, 1)))
-        intervals.append({"degree": DEGREE, "T": T})
-    return nahm.from_dict({
-        "k": data.k,
-        "lambdas": [float(x) for x in data.lambdas],
-        "intervals": intervals,
-        "Q": [nahm.to_pairs(np.kron(np.eye(2), g(lam)) @ q)
-              for lam, q in zip(data.lambdas, data.Q)],
-    })
-
-
-@pytest.fixture(scope="module")
-def twin_case():
-    rng = np.random.default_rng(42)
-    data = oracle.random_valid_data(rng, k=2, n=3, magnitude=0.3)
-    t = oracle.random_regular_t(data, rng)
-    X = np.array([[0.6, 0.3 - 0.5j], [0.3 + 0.5j, -0.2]])
-    return data, gauge_twin(data, X / np.linalg.norm(X)), t
+from conftest import TWIN_DEGREE
 
 
 def test_twin_is_on_shell(twin_case):
     _, twin, _ = twin_case
-    assert all(iv.degree == DEGREE for iv in twin.intervals)
+    assert all(iv.degree == TWIN_DEGREE for iv in twin.intervals)
     worst = 0.0
     for i in range(twin.n):
         a, b = twin.interval_bounds(i)

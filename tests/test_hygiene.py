@@ -182,3 +182,43 @@ def test_unpassed_option_is_found():
     b = ast.parse("f(0, 5, w=4)\nL(1)\nK().m()\ng(*args)\n")
     assert _unpassed_options({"a": a}, [a, b]) == [("a", 1, "f", "z"), ("a", 4, "K", "q"),
                                                    ("a", 6, "m", "r")]
+
+
+def _public_definitions(tree):
+    """Module-level public functions and classes."""
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def _uncalled_public_routines(package, callers):
+    """Public routines of the package trees that no caller tree reads:
+    (module, line, name)."""
+    read = set().union(*map(_reads, callers))
+    return sorted((module, line, name) for module, tree in package.items()
+                  for name, line in _public_definitions(tree).items()
+                  if name not in read)
+
+
+def test_every_public_routine_has_a_caller_outside_the_unit_tests():
+    # a routine that only its unit tests call belongs in the tests: the
+    # package, the benchmark or the acceptance gate must read each one.
+    # oracle.py is exempt, as it holds the references the tests compare to
+    repo = Path(__file__).resolve().parents[1]
+    sources = {p.name: ast.parse(p.read_text(), str(p))
+               for p in Path(caloron.__file__).parent.glob("*.py")}
+    package = {name: tree for name, tree in sources.items() if name != "oracle.py"}
+    callers = list(sources.values()) + [
+        ast.parse(p.read_text(), str(p))
+        for p in sorted((repo / "perfbench").rglob("*.py"))
+        + [repo / "tests" / "test_acceptance.py"]]
+    assert _uncalled_public_routines(package, callers) == []
+
+
+def test_uncalled_public_routine_is_found():
+    a = ast.parse("def f():\n    return g()\ndef g():\n    pass\n"
+                  "def h():\n    pass\nclass K:\n    def m(self):\n        pass\n"
+                  "class L:\n    pass\ndef _p():\n    pass\n")
+    b = ast.parse("import a\nprint(a.L)\n")
+    assert _uncalled_public_routines({"a": a}, [a, b]) == [("a", 1, "f"), ("a", 5, "h"),
+                                                          ("a", 7, "K")]

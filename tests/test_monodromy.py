@@ -16,8 +16,8 @@ from caloron import monodromy as mon
 from caloron import connection, nahm, oracle, spin
 from caloron.errors import IntegrationError
 
-from conftest import (degree1_config, pointwise_flow, random_poly_data, stacked,
-                      zero_mat)
+from conftest import (degree1_config, pointwise_flow, random_poly_data,
+                      second_order_jump, stacked, zero_mat)
 
 TWO_PI = 2.0 * np.pi
 
@@ -345,8 +345,8 @@ def test_jump_lift_identity():
     for k, n in ((1, 2), (2, 2)):
         data = oracle.random_valid_data(rng, k=k, n=n)
         for alpha in range(n):
-            jf = mon.second_order_jump(data, alpha, "finv")[k:, :k]
-            jd = mon.second_order_jump(data, alpha, "ddagd")[2 * k:, :2 * k]
+            jf = second_order_jump(data, alpha, "finv")[k:, :k]
+            jd = second_order_jump(data, alpha, "ddagd")[2 * k:, :2 * k]
             q = data.Q[alpha]
             assert np.allclose(np.kron(np.eye(2), jf), jd + q @ q.conj().T,
                                atol=1e-13)
@@ -368,8 +368,8 @@ def test_jump_block_closed_form():
                    - nahm.eval_T(data, 0, lam, side="left"))
             parts = nahm.q_spin_parts(data, alpha)
             finv = 1j * dT0 + parts[0]
-            ddagd = spin.kron_spin(np.eye(2), 1j * dT0) - sum(
-                spin.kron_spin(spin.E[j], parts[j]) for j in (1, 2, 3))
+            ddagd = np.kron(np.eye(2), 1j * dT0) - sum(
+                np.kron(spin.E[j], parts[j]) for j in (1, 2, 3))
             for tag, want in (("finv", finv), ("ddagd", ddagd)):
                 got = mon.jump_block(data, alpha, tag)
                 assert np.max(np.abs(got - want)) < 1e-14, (data.k, alpha, tag)
@@ -385,7 +385,7 @@ def test_steps_apply_the_full_jump_map():
             T = prop.interval_transfers(tag)
             steps = prop.steps(tag)
             for i in range(data.n):
-                want = mon.second_order_jump(data, (i + 1) % data.n, tag) @ T[i]
+                want = second_order_jump(data, (i + 1) % data.n, tag) @ T[i]
                 err = np.max(np.abs(steps[i] - want))
                 assert err <= 1e-14 * np.max(np.abs(want)), (data.k, tag, i)
             assert not np.array_equal(steps, np.array(T)), tag
@@ -439,7 +439,7 @@ def test_steps_and_loop_from_the_pointwise_flow(reference):
                 T = mon.transfer(pointwise_flow(data, t, i, tag),
                                  *data.interval_bounds(i), tol)
                 if tag != "ddag":
-                    T = mon.second_order_jump(data, (i + 1) % data.n, tag) @ T
+                    T = second_order_jump(data, (i + 1) % data.n, tag) @ T
                 assert np.max(np.abs(steps[i] - T)) < 1e-9, (case, tag, i)
             want = np.eye(len(steps[0]))
             for step in steps:
@@ -475,7 +475,7 @@ def _constant_loop_from_zero(data, t, tag):
     pos, loop = 0.0, None
     for alpha, lam in enumerate(data.lambdas):
         step = piece(alpha - 1 if alpha else data.n - 1, lam - pos)
-        step = mon.second_order_jump(data, alpha, tag) @ step
+        step = second_order_jump(data, alpha, tag) @ step
         loop = step if loop is None else step @ loop
         pos = lam
     return piece(data.n - 1, TWO_PI - pos) @ loop
@@ -555,7 +555,7 @@ def test_matching_sign_against_smooth_step():
         assert np.max(np.abs(nahm.matching_residual(data, alpha))) < 1e-14
     t = np.array([0.3, 0.2, -0.1, 0.15])
     exact = _constant_loop_from_zero(data, t, "ddagd")
-    E3 = spin.e_unit(3)
+    E3 = spin.E[3]
     id2 = np.eye(2)
 
     def mollified(eps):

@@ -34,13 +34,13 @@ def test_pauli_products():
 
 def test_quaternion_relations():
     # e_j^2 = -id, e_1 e_2 = e_3 and cyclic, e_bar_j = -e_j
-    E = [spin.e_unit(mu) for mu in range(4)]
+    E = list(spin.E)
     assert np.array_equal(E[0], I2)
     for j in (1, 2, 3):
         assert np.array_equal(E[j], -1j * (S1, S2, S3)[j - 1])
         assert np.array_equal(E[j] @ E[j], -I2)
-        assert np.array_equal(spin.e_bar(j), -E[j])
-    assert np.array_equal(spin.e_bar(0), I2)
+        assert np.array_equal(spin.EBAR[j], -E[j])
+    assert np.array_equal(spin.EBAR[0], I2)
     for a, b, c in [(1, 2, 3), (2, 3, 1), (3, 1, 2)]:
         assert np.array_equal(E[a] @ E[b], E[c])
         assert np.array_equal(E[b] @ E[a], -E[c])
@@ -65,8 +65,7 @@ def test_bracket_table_bitwise():
                 want = -2.0 * sum(eps[nu, mu, m] * E[m] for m in (1, 2, 3))
             assert np.array_equal(got, want), (nu, mu)
             # and the defining formula itself
-            direct = spin.e_bar(nu) @ spin.e_unit(mu) \
-                - spin.e_bar(mu) @ spin.e_unit(nu)
+            direct = spin.EBAR[nu] @ spin.E[mu] - spin.EBAR[mu] @ spin.E[nu]
             assert np.array_equal(got, direct)
 
 
@@ -81,26 +80,12 @@ def test_spin_trace_and_kron():
     k = 3
     m = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
     for mu in range(4):
-        M = spin.kron_spin(spin.e_unit(mu), m)
+        M = np.kron(spin.E[mu], m)
         assert M.shape == (2 * k, 2 * k)
         # partial trace over the spin factor
         tr = spin.spin_trace(M)
-        want = np.trace(spin.e_unit(mu)) * m
+        want = np.trace(spin.E[mu]) * m
         assert np.allclose(tr, want, atol=1e-14)
-
-
-def test_kron_spin_bitwise_equals_np_kron():
-    rng = np.random.default_rng(2)
-    for k in (1, 2, 3, 4):
-        factors = list(spin.SIGMA + spin.E + spin.EBAR) + [
-            rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            for _ in range(3)]
-        m = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-        for s in factors:
-            got = spin.kron_spin(s, m)
-            want = np.kron(s, m)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert np.array_equal(got, want), k
 
 
 def test_decompose_compose_roundtrip():
@@ -108,12 +93,12 @@ def test_decompose_compose_roundtrip():
     k = 2
     M = rng.normal(size=(2 * k, 2 * k)) + 1j * rng.normal(size=(2 * k, 2 * k))
     parts = spin.spin_decompose(M)
-    back = spin.spin_compose(parts)
+    back = sum(np.kron(spin.E[mu], parts[mu]) for mu in range(4))
     assert np.allclose(back, M, atol=1e-13)
     # decomposition of a pure term picks out exactly that component
     m = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
     for mu in range(4):
-        parts = spin.spin_decompose(spin.kron_spin(spin.e_unit(mu), m))
+        parts = spin.spin_decompose(np.kron(spin.E[mu], m))
         for nu in range(4):
             want = m if nu == mu else np.zeros_like(m)
             assert np.allclose(parts[nu], want, atol=1e-14), (mu, nu)

@@ -1,10 +1,19 @@
 """Symmetry certificates of the whole pipeline: an SO(3) rotation of the
-Nahm data rotates the field, and a constant U(k) gauge transformation of
-the data leaves it unchanged.
+Nahm data rotates the field, a constant U(k) gauge transformation of the
+data leaves it unchanged, and so does a shift of the circle that wraps a
+marked point past 2 pi, up to the order of the boundary columns.
 
-Tolerances are about 15x the worst defect measured on these draws:
-rotation 4.2e-14 (density) and 7.2e-14 (tr F F tensor), both relative;
-gauge 1.2e-14 (density), 2.8e-14 (tr F F) and 6.8e-15 (A, absolute).
+Worst defects measured on these draws, density and tr F F relative, A
+absolute:
+
+    check                          density   tr F F    A
+    rotation, k = 1, 2             4.2e-14   7.2e-14   -
+    rotation, degree-16 twin       4.4e-14   1.5e-13   -
+    constant gauge, k = 2, 3       1.2e-14   2.8e-14   6.8e-15
+    wrapped shift, k = 1, 2        2.1e-13   3.5e-13   2.6e-14
+
+TOL is about 15x the worst defect of the first and third rows and 7x on
+the twin; SHIFT_TOL is about 15x the worst of the last row.
 """
 
 import dataclasses
@@ -15,6 +24,7 @@ import pytest
 from caloron import connection, nahm, oracle, spin
 
 TOL = 1e-12
+SHIFT_TOL = 5e-12
 
 
 def _transform(data, mix_T, mix_Q):
@@ -54,25 +64,36 @@ def _rotated(data, R, U):
     return _transform(data, mix_T, np.kron(U, np.eye(data.k)))
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_rotation_rotates_the_field(k):
+@pytest.mark.parametrize("case", [1, 2, "twin"])
+def test_rotation_rotates_the_field(case, request):
     # T_j -> R_jl T_l and Q -> (U x id_k) Q: the density at (t_0, R t) is
-    # the density at t, and tr F F is the rotated tensor
-    rng = np.random.default_rng(5)
-    data = oracle.random_valid_data(rng, k=k, n=3)
-    t = oracle.random_regular_t(data, rng)
-    U = _su2(rng)
-    R = _rotation(U)
-    Lam = np.eye(4)
-    Lam[1:, 1:] = R
-    tr = Lam @ t
+    # the density at t, and tr F F is the rotated tensor; on k = 1 and 2
+    # draws, and under three rotations on the degree-16 twin
+    if case == "twin":
+        _, data, t = request.getfixturevalue("twin_case")
+        Us = [_su2(np.random.default_rng(seed)) for seed in (5, 6, 7)]
+    else:
+        rng = np.random.default_rng(5)
+        data = oracle.random_valid_data(rng, k=case, n=3)
+        t = oracle.random_regular_t(data, rng)
+        Us = [_su2(rng)]
     base = connection.curvature(data, t)
-    want = np.einsum("ma,nb,rc,sd,abcd->mnrs", Lam, Lam, Lam, Lam, _trace_FF(base))
-    scale = np.max(np.abs(want))
+    for U in Us:
+        R = _rotation(U)
+        Lam = np.eye(4)
+        Lam[1:, 1:] = R
+        tr = Lam @ t
+        want = np.einsum("ma,nb,rc,sd,abcd->mnrs", Lam, Lam, Lam, Lam,
+                         _trace_FF(base))
+        scale = np.max(np.abs(want))
 
-    rot = connection.curvature(_rotated(data, R, U), tr)
-    assert rot.action_density() == pytest.approx(base.action_density(), rel=TOL)
-    assert np.max(np.abs(_trace_FF(rot) - want)) < TOL * scale
+        rot = connection.curvature(_rotated(data, R, U), tr)
+        assert rot.action_density() == pytest.approx(base.action_density(), rel=TOL)
+        assert np.max(np.abs(_trace_FF(rot) - want)) < TOL * scale
+    if case == "twin":
+        # U^dag need not break the twin's matching conditions (rotation
+        # seed 7 keeps them to 5e-3); the draws below pin the convention
+        return
 
     # U^dag in place of U breaks the matching conditions: the test pins the
     # spinor convention (measured: density off by 6% and 1.8%)
@@ -99,3 +120,29 @@ def test_constant_gauge_changes_nothing(k):
     assert np.max(np.abs(_trace_FF(moved) - want)) < TOL * np.max(np.abs(want))
     assert np.max(np.abs(connection.gauge_potential(gauged, t).A
                          - connection.gauge_potential(data, t).A)) < TOL
+
+
+@pytest.mark.parametrize("k, seed", [(1, 5), (2, 5), (2, 42)])
+def test_wrapped_circle_shift_permutes_the_boundary_columns(k, seed):
+    # lambda -> lambda + c (mod 2 pi) with the last marked point wrapped
+    # past 2 pi: the marked points, their intervals and their Q re-sorted,
+    # the field stays put and A is the old A on the permuted columns
+    rng = np.random.default_rng(seed)
+    data = oracle.random_valid_data(rng, k=k, n=3)
+    t = oracle.random_regular_t(data, rng)
+    lambdas = (data.lambdas + 2.0 * np.pi - data.lambdas[-1] + 0.3) % (2.0 * np.pi)
+    order = np.argsort(lambdas)
+    assert order[0] == data.n - 1
+    shifted = dataclasses.replace(data, lambdas=lambdas[order],
+                                  intervals=tuple(data.intervals[i] for i in order),
+                                  Q=tuple(data.Q[i] for i in order))
+    base = connection.curvature(data, t)
+    moved = connection.curvature(shifted, t)
+    assert moved.action_density() == pytest.approx(base.action_density(), rel=SHIFT_TOL)
+    want = _trace_FF(base)
+    assert np.max(np.abs(_trace_FF(moved) - want)) < SHIFT_TOL * np.max(np.abs(want))
+    ends = np.cumsum(data.widths)
+    cols = np.concatenate([np.arange(ends[i] - data.widths[i], ends[i]) for i in order])
+    A = connection.gauge_potential(data, t).A
+    assert np.max(np.abs(connection.gauge_potential(shifted, t).A
+                         - A[:, cols][:, :, cols])) < TOL
