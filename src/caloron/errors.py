@@ -23,8 +23,9 @@ class IntegrationError(CaloronError):
 
 
 class IrregularPointError(CaloronError):
-    """The circle monodromy has (numerically) a unit eigenvalue at this t,
-    so the Green's function does not exist there."""
+    """cond(K0) of the periodic Green's system is too large at this t, with
+    the loop's gap from 1: small at a (near-)unit eigenvalue, where the
+    Green's function does not exist, large far from the core."""
 
     def __init__(self, message, gap=None, cond=None):
         super().__init__(message)

@@ -1,28 +1,24 @@
-"""Green's functions of the kernel flows from one periodic block system.
+"""Green's function F of D^dagger D from one periodic block system.
 
-The compact formula needs only the values of the Green's functions at
-pairs of marked points.  For the second-order companion flows the Green's
-function with a unit source insertion at y is
+The compact formula needs only F at pairs of marked points.  With a unit
+source insertion at y
 
     F(x, y) = pi_2 iota_{x,y} (iota_{y+2pi,y} - id)^{-1} pi_1,
 
-where iota_{x,y} transports solutions from y to x, with pi_1 v = (0, v)
-(a pure derivative kick at the source) and pi_2 the value block; the
-source convention matches the sign of the -d^2/ds^2 term of the
-operator.  G is the same formula for the 2k-dimensional lifted flow
-('ddagd'), F for the k-dimensional one ('finv').
+where iota_{x,y} transports solutions of the companion flow 'finv' from y
+to x, pi_1 v = (0, v) is a pure derivative kick and pi_2 the value block;
+the source convention matches the sign of the -d^2/ds^2 term.  (The
+Green's function G of D D^dagger belongs to the classical route: oracle
+builds it from the same steps.)
 
-The boundary Green's matrices collect the blocks F(lambda_beta,
-lambda_alpha) and G(lambda_beta, lambda_alpha) from the periodic solution
-with a unit source at every marked point (GreensEvaluator.loop_solution).
-It inverts no loop: its states at the interval starts solve one
-block-cyclic system of the interval transfers and jumps, and they are the
-kernels sourced at all marked points, side by side.  Sandwiching with the
-boundary matrices Q gives the N x N matrices entering the gauge
-potential, N = sum of the Q widths.
-
-All evaluations at a fixed (data, t) share one GreensEvaluator: the
-transfer caches of monodromy.Propagator.
+The blocks F(lambda_beta, lambda_alpha) and their t-derivatives come from
+the periodic solution with a unit source at every marked point
+(GreensEvaluator.loop_solution), which inverts no loop: its states at the
+interval starts solve one block-cyclic system of the interval transfers
+and jumps.  Sandwiching with the boundary matrices Q gives the N x N
+matrices entering the gauge potential, N = sum of the Q widths.  All
+evaluations at one (data, t) share a GreensEvaluator: the transfer caches
+of monodromy.Propagator.
 """
 
 from dataclasses import dataclass
@@ -71,8 +67,9 @@ class GreensEvaluator(monodromy.Propagator):
         solve per order, right-hand sides side by side, coupled to the lower
         orders by the off-diagonal blocks of the steps.
 
-        cond(K0) > _COND_LIMIT means a (near-)unit eigenvalue of the loop
-        iota at lambda_0: IrregularPointError with its gap.  At every marked
+        cond(K0) > _COND_LIMIT raises IrregularPointError with cond(K0) and
+        the gap min |eig - 1| of the loop iota at lambda_0 (see the error
+        type); a loop that overflows raises IntegrationError.  At every marked
         point the left limit Phi_{beta-1} X_{beta-1} + S_beta must give the
         value rows of X_beta (_diagonal_limits); all rows of the first-order
         flow are values.
@@ -89,10 +86,11 @@ class GreensEvaluator(monodromy.Propagator):
         cond = np.linalg.cond(K0) if np.all(np.isfinite(K0)) else np.inf
         if not cond <= _COND_LIMIT:
             eig = np.linalg.eigvals(self.loop(tag)[-m:, -m:])
+            gap = float(np.min(np.abs(eig - 1)))
             raise IrregularPointError(
-                f"monodromy has a (near-)unit eigenvalue at t = "
-                f"{tuple(self.t.tolist())} ({tag} periodic system; cond = {cond:.3e})",
-                gap=float(np.min(np.abs(eig - 1))), cond=float(cond))
+                f"{tag} periodic system at t = {tuple(self.t.tolist())} has "
+                f"cond(K0) = {cond:.3e} > {_COND_LIMIT:.0e}; loop gap "
+                f"min |eig - 1| = {gap:.3e}", gap=gap, cond=float(cond))
         X = np.zeros((n, S, m, w), dtype=complex)
         for r in range(orders[0] + 1):
             a = orders.index(r)
@@ -110,11 +108,10 @@ class GreensEvaluator(monodromy.Propagator):
             tag, X[:, :, :rows], left.reshape(X.shape)[:, :, :rows])
 
     def unit_kicks(self, tag):
-        """Sources of the Green's function of a second-order flow: a unit
+        """Sources of the Green's function of the finv jet `tag`: a unit
         kick -pi_1 into the derivative rows of the flow's own state at
-        lambda_beta, in column block beta, (n, rows, n v) for v value rows."""
-        n, S = self.data.n, len(nahm.jet_states(nahm.JET[tag]))
-        v = len(self.interval_transfers(tag)[0]) // (2 * S)
+        lambda_beta, in column block beta, (n, rows, n k)."""
+        n, v, S = self.data.n, self.data.k, len(nahm.jet_states(nahm.JET[tag]))
         kicks = np.zeros((n, S, 2, v, n, v), dtype=complex)
         for beta in range(n):
             kicks[beta, -1, 1, :, beta] = -np.eye(v)
@@ -122,7 +119,7 @@ class GreensEvaluator(monodromy.Propagator):
 
     # -- boundary matrices --------------------------------------------------
 
-    def boundary(self, order=0, want_G=False):
+    def boundary(self, order=0):
         """Blocks F(lambda_beta, lambda_alpha) at every pair of marked points
         and their t-derivatives up to `order` (0, 1 or 2), from one periodic
         solve with a unit source at every marked point.
@@ -130,24 +127,14 @@ class GreensEvaluator(monodromy.Propagator):
         The solve runs on the finv jet of that order (nahm.FINV_JET), whose
         states carry d_s F: jet[s, beta, alpha] is the value block of state
         s at lambda_beta in column block alpha, so one solve yields F,
-        d_nu F and, at order 2, d_rho d_nu F (BoundaryGreens.jet).  G
-        (want_G) comes from the ddagd flow.
+        d_nu F and, at order 2, d_rho d_nu F (BoundaryGreens.jet).
         """
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-
-        def blocks(tag):
-            starts, defect = self.loop_solution(tag, self.unit_kicks(tag))
-            n = len(starts)
-            v = starts.shape[-1] // n
-            vals = starts.reshape(n, -1, 2, v, n, v)[:, :, 0]
-            return vals.transpose(1, 0, 3, 2, 4), defect
-
-        jet, diag_defect = blocks(nahm.FINV_JET[order])
-        G = None
-        if want_G:
-            (G,), defect = blocks("ddagd")
-            diag_defect = max(diag_defect, defect)
+        tag = nahm.FINV_JET[order]
+        starts, diag_defect = self.loop_solution(tag, self.unit_kicks(tag))
+        n, v = self.data.n, self.data.k
+        jet = starts.reshape(n, -1, 2, v, n, v)[:, :, 0].transpose(1, 0, 3, 2, 4)
         F = jet[-1]
         herm = _hermiticity_defect(F)
         scale = max(1.0, float(np.max(np.abs(F))))
@@ -156,25 +143,23 @@ class GreensEvaluator(monodromy.Propagator):
                 f"boundary Green's matrix lost hermiticity (defect {herm:.3e}); "
                 "tighten the integrator tolerance")
         jet.setflags(write=False)
-        return BoundaryGreens(t=tuple(float(x) for x in self.t), jet=jet, G=G,
+        return BoundaryGreens(t=tuple(float(x) for x in self.t), jet=jet,
                               diag_defect=diag_defect, herm_defect=herm)
 
 
 @dataclass(frozen=True)
 class BoundaryGreens:
-    """Marked-point blocks of the Green's functions at one t.
+    """Marked-point blocks of the Green's function F at one t.
 
     jet[s, beta, alpha] is the k x k block d_s F for each state s of
     nahm.jet_states(order), read-only: F, dF[nu] = d_nu F (order >= 1) and
-    ddF[rho, nu] = d_rho d_nu F (order 2) pick it apart.  G[beta, alpha]
-    (if requested) is 2k x 2k.  diag_defect records the largest defect
-    between the left and right limits of F and G over the marked points
-    (GreensEvaluator.loop_solution), herm_defect the block-hermiticity
-    defect of F.
+    ddF[rho, nu] = d_rho d_nu F (order 2) pick it apart.  diag_defect
+    records the largest defect between the left and right limits of F over
+    the marked points (GreensEvaluator.loop_solution), herm_defect the
+    block-hermiticity defect of F.
     """
     t: tuple
     jet: np.ndarray
-    G: np.ndarray
     diag_defect: float
     herm_defect: float
 
@@ -229,18 +214,6 @@ def qfq_matrix(data, bg):
     return identity_sandwich(boundary_sandwich(data, bg.F))
 
 
-def qgq_matrix(data, bg):
-    """The N x N matrix with blocks Q_beta^dag G[beta,alpha] Q_alpha."""
-    if bg.G is None:
-        raise ValueError("boundary data was built without G blocks "
-                         "(pass want_G=True)")
-    n, k = data.n, data.k
-    # G = sum_st e_st (x) G_st: sandwich the spin blocks G_st, keep Z[s, t, s, t]
-    Gst = bg.G.reshape(n, n, 2, k, 2, k).transpose(2, 4, 0, 1, 3, 5)
-    Z = boundary_sandwich(data, Gst)
-    return Z[0, 0, 0, 0] + Z[0, 1, 0, 1] + Z[1, 0, 1, 0] + Z[1, 1, 1, 1]
-
-
-def boundary_greens(data, t, tol=1e-10, want_G=False):
-    """All marked-point blocks F (and optionally G) at one t."""
-    return GreensEvaluator(data, t, tol).boundary(want_G=want_G)
+def boundary_greens(data, t, tol=1e-10):
+    """All marked-point blocks F at one t."""
+    return GreensEvaluator(data, t, tol).boundary()

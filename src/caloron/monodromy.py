@@ -7,20 +7,14 @@ adjoint of D^dagger's and regularity reads both gaps off the one D^dagger
 loop.  First-order solutions are continuous across marked points, so the
 circle monodromy is a plain product of interval transfers.
 
-Second-order flows belong to the two laplacians built from the data:
+The second-order flow 'finv' of the laplacian D^dagger D is k-dimensional,
 
-* operator_tag='finv'  : k-dimensional,
-      f'' = [i T_0' + (T_0+t_0)^2 + sum_j (T_j+t_j)^2] f + 2i (T_0+t_0) f'
-* operator_tag='ddagd' : 2k-dimensional, the same coefficients lifted by
-      kron(id2, .), spin-diagonal in the interval interiors.
+    f'' = [i T_0' + (T_0+t_0)^2 + sum_j (T_j+t_j)^2] f + 2i (T_0+t_0) f',
 
-Both are integrated as companion systems on the state (f, f'); at a
-marked point the value stays continuous and the derivative picks up J times
-the value, in every state of a t-jet of finv (nahm.JET), for the
-t-independent blocks (jump_block; Delta T_0 from the Chebyshev ends)
-
-* finv  : J = i Delta T_0 + (1/2) spin_trace(Q Q^dagger)
-* ddagd : J = kron(id2, J_finv) - Q Q^dagger.
+integrated with its t-jets (nahm.JET) as a companion system on the state
+(f, f').  At a marked point the value stays continuous and the derivative
+picks up J = i Delta T_0 + (1/2) spin_trace(Q Q^dagger) times the value, in
+every state of a jet (jump_block; Delta T_0 from the Chebyshev ends).
 
 Every interval transfer comes from transfer: the exact exponential of the
 constant coefficient on a degree-0 interval and an adaptive DOP853 (order
@@ -253,14 +247,11 @@ def transfer(coeff, s0, s1, tol=1e-10, constant=False):
     return Y
 
 
-def jump_block(data, alpha, tag="finv"):
-    """The t-independent block J of the second-order flow `tag`'s jump at
-    lambda_alpha: J_finv = i Delta T_0 + (1/2) spin_trace(Q Q^dagger), and
-    J_ddagd = kron(id2, J_finv) - Q Q^dagger."""
+def jump_block(data, alpha):
+    """The t-independent block J = i Delta T_0 + (1/2) spin_trace(Q Q^dagger)
+    of the finv flow's jump at lambda_alpha."""
     q = data.Q[alpha]
-    QQ = q @ q.conj().T
-    J = 1j * nahm.jump_T(data, alpha, 0) + 0.5 * spin_trace(QQ)
-    return np.kron(np.eye(2), J) - QQ if tag == "ddagd" else J
+    return 1j * nahm.jump_T(data, alpha, 0) + 0.5 * spin_trace(q @ q.conj().T)
 
 
 def _closed_transfers(data, coefficient, tol):
@@ -279,10 +270,8 @@ def interval_transfers_first_order(data, which, coefficient, tol):
 
 
 def interval_transfers_second_order(data, operator_tag, coefficient, tol):
-    """Companion-system transfers over each closed interval of the flow
-    `operator_tag` (one of nahm.JET); coefficient as for
-    interval_transfers_first_order (nahm.flow_coefficient rejects an
-    unknown tag)."""
+    """Companion-system transfers of the finv jet `operator_tag` (nahm.JET)
+    over each closed interval; coefficient as for the first order."""
     return _closed_transfers(data, coefficient, tol)
 
 
@@ -349,7 +338,7 @@ class Propagator:
         if tag == "ddag":
             return T
         n = self.data.n
-        J = np.array([jump_block(self.data, (i + 1) % n, tag) for i in range(n)])
+        J = np.array([jump_block(self.data, (i + 1) % n) for i in range(n)])
         X = T.reshape(n, -1, 2, len(J[0]), T.shape[-1])
         with np.errstate(over="ignore", invalid="ignore"):
             X[:, :, 1] += J[:, None] @ X[:, :, 0]

@@ -359,10 +359,9 @@ def _cheb_basis(P):
 # the finv flow's t-jets by order: the flow itself, 'dfinv' with its
 # gradient, 'ddfinv' with the second derivatives as well
 FINV_JET = ("finv", "dfinv", "ddfinv")
-# every second-order flow with the order of its t-jet ('ddagd', the 2k-dim
-# lift of finv, carries none), and every flow: 'ddag' is the first-order one
-JET = {"ddagd": 0, **{tag: order for order, tag in enumerate(FINV_JET)}}
-FLOWS = ("ddag",) + tuple(JET)
+# the order of each jet, and every flow: 'ddag' is the first-order one
+JET = {tag: order for order, tag in enumerate(FINV_JET)}
+FLOWS = ("ddag",) + FINV_JET
 
 
 @lru_cache(maxsize=None)
@@ -416,8 +415,6 @@ def _flow_matrices(tag, C, B, A):
     if tag == "ddag":
         return np.kron(np.eye(2), 1j * A[:, 0]) - sum(
             np.kron(pauli(j), A[:, j]) for j in (1, 2, 3))
-    if tag == "ddagd":
-        C, B = np.kron(np.eye(2), C), np.kron(np.eye(2), B)
     m = C.shape[1]
     M = np.zeros((len(C), 2 * m, 2 * m), dtype=complex)
     M[:, :m, m:] = np.eye(m)
@@ -470,14 +467,13 @@ def flow_coefficient(data, t, i, tag):
 
     s is in the interval's own coordinate, [a_i, b_i] of interval_bounds,
     clipped to it.  'ddag' gives the Weyl matrix of D^dagger,
-    kron(id2, i (T_0+t_0)) - sum_j kron(sigma_j, T_j+t_j); the second-order
-    flows the companion matrix [[0, id], [C, B]] with C = i T_0' + (T_0+t_0)^2
-    + sum_j (T_j+t_j)^2 and B = 2i (T_0+t_0), lifted by kron(id2, .) for
-    'ddagd'.  A flow of jet order r > 0 (JET) carries the finv flow's
-    t-derivatives up to order r on the states jet_states(r), coupled by
-    d_nu C = 2 (T_nu+t_nu), d_0 B = 2i and d_mu d_mu C = 2 (_jet); a
-    transfer then carries every d_s Y in the last block column and Y on the
-    diagonal (Van Loan, IEEE TAC 23 (1978) 395).
+    kron(id2, i (T_0+t_0)) - sum_j kron(sigma_j, T_j+t_j); 'finv' the
+    companion matrix [[0, id], [C, B]] with C = i T_0' + (T_0+t_0)^2 +
+    sum_j (T_j+t_j)^2 and B = 2i (T_0+t_0).  A flow of jet order r > 0
+    (JET) carries its t-derivatives up to order r on the states
+    jet_states(r), coupled by d_nu C = 2 (T_nu+t_nu), d_0 B = 2i and
+    d_mu d_mu C = 2 (_jet); a transfer then carries every d_s Y in the last
+    block column and Y on the diagonal (Van Loan, IEEE TAC 23 (1978) 395).
 
     M, affine in the blocks C, B and A_mu = T_mu+t_mu (placed by the cached
     gather of _assembly), is a polynomial of degree d (first order) or 2d

@@ -1,8 +1,9 @@
 """Independent cross-checks: closed forms, a dense discretization of the
-second-order operator, reference datasets, the integral route to the
-t-derivatives of the boundary F-blocks, the classical (integral)
-route to the gauge potential through the normalized zero modes, and the
-central-difference curvature of the exact gauge potential.
+second-order operator, the Green's function G of D D^dagger, reference
+datasets, the integral route to the t-derivatives of the boundary
+F-blocks, the classical (integral) route to the gauge potential through
+the normalized zero modes, and the central-difference curvature of the
+exact gauge potential.
 
 Everything here deliberately avoids the monodromy machinery wherever an
 independent method exists, so agreement is meaningful.
@@ -57,8 +58,7 @@ def dense_greens(data, t, N):
     W on a marked node is the mean of its one-sided limits, and the node
     adds 1/h times the jump coefficient.  Marked points must be distinct
     nodes.  Solves with sources 1/h at the marked nodes and reads the values
-    there, second order in h on every dataset; returns a BoundaryGreens
-    with G = None.
+    there, second order in h on every dataset; returns a BoundaryGreens.
     """
     k, n = data.k, data.n
     h = TWO_PI / N
@@ -94,8 +94,48 @@ def dense_greens(data, t, N):
     sol = np.linalg.solve(L.reshape(N * k, N * k), rhs.reshape(N * k, n * k))
     F = sol.reshape(N, k, n, k)[nodes].transpose(0, 2, 1, 3)
     return greens.BoundaryGreens(t=tuple(float(x) for x in t), jet=F[None],
-                                 G=None, diag_defect=0.0,
+                                 diag_defect=0.0,
                                  herm_defect=greens._hermiticity_defect(F))
+
+
+# ---------------------------------------------------------------------------
+# the Green's function G of D D^dagger, from the finv steps
+
+def _lift(X, k):
+    """kron(id2, .) on every k x k block of X, (..., p k, r k) -> (..., 2p k, 2r k)."""
+    *lead, rows, cols = X.shape
+    X = X.reshape(*lead, rows // k, 1, k, cols // k, 1, k)
+    return (X * np.eye(2)[:, None, None, :, None]).reshape(*lead, 2 * rows, 2 * cols)
+
+
+class _LiftedEvaluator(greens.GreensEvaluator):
+    """Adds the flow 'ddagd' of D D^dagger = kron(id2, D^dagger D) inside an
+    interval: the lifted finv steps, whose derivative rows lose Q Q^dagger
+    times the value rows (J_ddagd = kron(id2, J_finv) - Q Q^dagger)."""
+
+    def steps(self, tag):
+        if tag != "ddagd":
+            return super().steps(tag)
+        n, m = self.data.n, 2 * self.data.k
+        X = _lift(super().steps("finv"), self.data.k).reshape(n, 2, m, 2 * m)
+        Q = np.roll(self.data.boundary_Q, -1, axis=0)   # at the end of interval i
+        X[:, 1] -= Q @ Q.conj().swapaxes(1, 2) @ X[:, 0]
+        return X.reshape(n, 2 * m, 2 * m)
+
+
+def boundary_G(data, t):
+    """Blocks G(lambda_beta, lambda_alpha) of D D^dagger's Green's function,
+    (n, n, 2k, 2k): F's formula (greens) on 'ddagd', in one periodic solve."""
+    ev = _LiftedEvaluator(data, t)
+    starts, _ = ev.loop_solution("ddagd", _lift(ev.unit_kicks("finv"), data.k))
+    n, m = data.n, 2 * data.k
+    return starts[:, :m].reshape(n, m, n, m).swapaxes(1, 2)
+
+
+def qgq_matrix(data, G):
+    """The N x N matrix with blocks Q_beta^dag G[beta, alpha] Q_alpha."""
+    Q = data.boundary_Q
+    return np.einsum("bxi,baxy,ayj->ij", Q.conj(), G, Q)
 
 
 # ---------------------------------------------------------------------------

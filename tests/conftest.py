@@ -85,6 +85,16 @@ def twin_case():
     return data, gauge_twin(data, X / np.linalg.norm(X)), t
 
 
+@pytest.fixture(scope="session")
+def both_jumps_case():
+    """(data, regular t): k = 2, n = 4 constant data in which both blocks
+    jump, all four Q non-zero (every k = 2, n = 3 draw leaves one block
+    without a jump, so its Q is zero)."""
+    rng = np.random.default_rng(2)
+    data = oracle.random_valid_data(rng, k=2, n=4, magnitude=0.3)
+    return data, oracle.random_regular_t(data, rng)
+
+
 def random_poly_data(rng, k=2, n=2, degree=3, magnitude=0.3):
     """Off-shell data: random non-commuting hermitian polynomial T_mu and Q.
 
@@ -119,9 +129,11 @@ def direct_flow_matrix(data, t, i, tag, u):
     """The flow matrix of `tag` at u on interval i, rebuilt pointwise from
     eval_T and, for T_0', numpy's chebder / chebval.
 
-    Besides the flows of nahm.flow_coefficient it builds 'd', the Weyl
-    matrix of D, which the package never integrates: the tests check the D
-    loop it gives against the one regularity derives.
+    Besides the flows of nahm.flow_coefficient it builds two the pipeline
+    never integrates: 'd', the Weyl matrix of D, whose loop the tests check
+    against the one regularity derives, and 'ddagd', the companion matrix of
+    D D^dagger (finv's C and B lifted by kron(id2, .)), against which they
+    check the oracle's lifted steps.
     """
     a, b = data.interval_bounds(i)
     s = 0.5 * (a + b) + 0.5 * (b - a) * u
@@ -170,14 +182,20 @@ def direct_flow_matrix(data, t, i, tag, u):
     return out
 
 
-def second_order_jump(data, alpha, tag="finv"):
-    """Marked-point jump map kron(id_S, [[id, 0], [J, id]]) of the flow `tag`
-    on its S stacked companion states (nahm.JET), J = jump_block(data, alpha,
-    tag); Propagator.steps applies it as a row update instead."""
-    J = monodromy.jump_block(data, alpha, tag)
+def jump_map(J, states=1):
+    """Marked-point jump map kron(id_states, [[id, 0], [J, id]]) of a
+    second-order flow with jump block J on its stacked companion states."""
     jump = np.eye(2 * len(J), dtype=complex)
     jump[len(J):, :len(J)] = J
-    return np.kron(np.eye(len(nahm.jet_states(nahm.JET[tag]))), jump)
+    return np.kron(np.eye(states), jump)
+
+
+def second_order_jump(data, alpha, tag="finv"):
+    """jump_map of the finv jet `tag` (nahm.JET) at lambda_alpha, J =
+    jump_block(data, alpha); Propagator.steps applies it as a row update
+    instead."""
+    return jump_map(monodromy.jump_block(data, alpha),
+                    len(nahm.jet_states(nahm.JET[tag])))
 
 
 def degree1_config(data):

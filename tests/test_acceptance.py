@@ -41,7 +41,8 @@ def report(num, text):
 
 @pytest.fixture(scope="module")
 def ensemble():
-    """Ten random valid datasets (k <= 2, n <= 3) at random regular t."""
+    """Ten random valid datasets (k <= 2, n <= 3) at random regular t, with
+    the boundary blocks of F and those of G from the oracle."""
     rng = np.random.default_rng(77)
     out = []
     for _ in range(10):
@@ -49,7 +50,8 @@ def ensemble():
                                         n=int(rng.integers(1, 4)),
                                         magnitude=0.3)
         t = oracle.random_regular_t(data, rng)
-        out.append((data, t, greens.boundary_greens(data, t, want_G=True)))
+        out.append((data, t, greens.boundary_greens(data, t),
+                    oracle.boundary_G(data, t)))
     return out
 
 
@@ -146,9 +148,9 @@ def test_criterion_03_free_field_diagonal(free_data):
 
 def test_criterion_04_inverse_pair_identities(ensemble):
     worst = 0.0
-    for data, t, bg in ensemble:
+    for data, t, bg, G in ensemble:
         qf = greens.qfq_matrix(data, bg)
-        qg = greens.qgq_matrix(data, bg)
+        qg = oracle.qgq_matrix(data, G)
         N = qf.shape[0]
         a = np.linalg.norm((np.eye(N) - qf) @ (np.eye(N) + qg) - np.eye(N))
         b = np.linalg.norm((np.eye(N) + qg) @ (np.eye(N) - qf) - np.eye(N))
@@ -160,9 +162,9 @@ def test_criterion_04_inverse_pair_identities(ensemble):
 
 def test_criterion_05_chi_inverse_identity(ensemble):
     worst = 0.0
-    for data, t, bg in ensemble:
+    for data, t, bg, G in ensemble:
         c = connection.chi_from_boundary(data, bg)
-        qg = greens.qgq_matrix(data, bg)
+        qg = oracle.qgq_matrix(data, G)
         N = c.shape[0]
         lhs = np.linalg.inv(c.conj().T) @ np.linalg.inv(c)
         worst = max(worst, np.linalg.norm(lhs - np.eye(N) - qg))

@@ -157,8 +157,28 @@ def test_potential_does_not_depend_on_cache_history(cases, poly_case):
                 nahm.flow_coefficient(other, rng.uniform(-0.8, 0.8, size=4), 0, tag)
         for other, p in cases + [poly_case]:
             con.curvature(other, p)
-            greens.boundary_greens(other, p + 0.01, want_G=True)
+            greens.boundary_greens(other, p + 0.01)
         assert np.array_equal(con.gauge_potential(data, t).A, first)
+
+
+def test_both_blocks_jump(both_jumps_case):
+    # k = 2, n = 4 data with a jump in each block at two of the four marked
+    # points, so no Q is zero: the criteria-4/5 identities through the
+    # oracle's G (measured 4.8e-16 and 1.9e-15) and self-duality (1.2e-15),
+    # each held to 1e-13
+    data, t = both_jumps_case
+    for b in range(data.k):
+        assert sum(np.max(np.abs(q.reshape(2, data.k, -1)[:, b])) > 0.1
+                   for q in data.Q) == 2, b
+    bg = greens.boundary_greens(data, t)
+    qf = greens.qfq_matrix(data, bg)
+    qg = oracle.qgq_matrix(data, oracle.boundary_G(data, t))
+    one = np.eye(qf.shape[0])
+    assert np.linalg.norm((one - qf) @ (one + qg) - one) < 1e-13
+    assert np.linalg.norm((one + qg) @ (one - qf) - one) < 1e-13
+    c = con.chi_from_boundary(data, bg)
+    assert np.linalg.norm(np.linalg.inv(c.conj().T) @ np.linalg.inv(c) - one - qg) < 1e-13
+    assert con.selfdual_residual(data, t).residual < 1e-13
 
 
 def test_gauge_potential_rejects_irregular(free_data):

@@ -86,6 +86,19 @@ def test_irregular_point_raises(free_data):
         greens.boundary_greens(free_data, np.zeros(4))
 
 
+def test_far_field_irregular_point_states_cond_and_gap(reference):
+    # far from the core cond(K0) outgrows its limit with the loop, whose
+    # spectrum is nowhere near 1 (cond 8.2e12 and gap 1.0 at r = 8): the
+    # message states both measured numbers and claims no unit eigenvalue
+    with pytest.raises(IrregularPointError) as info:
+        greens.boundary_greens(reference, np.array([0.3, 0.0, 0.0, 8.0]))
+    err = info.value
+    assert err.cond > 1e12 and err.gap > 0.5
+    assert f"cond(K0) = {err.cond:.3e}" in str(err)
+    assert f"min |eig - 1| = {err.gap:.3e}" in str(err)
+    assert "unit eigenvalue" not in str(err)
+
+
 def split_blocks(data, blocks):
     """Piecewise-constant data with blocks - 1 evenly spaced extra marked
     points in every interval, each with a zero Q column and so no jump, and
@@ -218,7 +231,7 @@ def _defining_blocks(ev, tag):
     product of the steps between the two marked points."""
     steps = ev.steps(tag)
     n, dim = len(steps), steps.shape[-1]
-    S = len(nahm.jet_states(nahm.JET[tag]))
+    S = len(nahm.jet_states(nahm.JET.get(tag, 0)))
     v = dim // (2 * S)
     P1 = np.zeros((dim, v))
     P1[dim - v:] = np.eye(v)
@@ -232,8 +245,9 @@ def _defining_blocks(ev, tag):
 
 
 def test_boundary_one_solve_equals_per_source_definition(greens_case):
-    # every jet state of F (orders 0 to 2) and G from the one periodic solve
-    # against one solve per marked point, state by state at its own scale.
+    # every jet state of F (orders 0 to 2), and G from the one periodic
+    # solve of the oracle's lifted steps, against one solve per marked
+    # point, state by state at its own scale.
     # Both routes carry roundoff amplified by cond(iota - id), 4.8e3 at
     # most here, and the derivative states once more per order: on the
     # random case d_rho d_nu F is 1.4e-11 (one solve) and 2.6e-11 (per
@@ -247,8 +261,8 @@ def test_boundary_one_solve_equals_per_source_definition(greens_case):
         for s in range(len(want)):
             tol = 1e-12 if s == len(want) - 1 else 1e-14 * cond
             assert np.max(np.abs(got[s] - want[s])) < tol * np.max(np.abs(want[s]))
-    got = ev.boundary(want_G=True).G
-    want = _defining_blocks(ev, "ddagd")[0]
+    got = oracle.boundary_G(data, t)
+    want = _defining_blocks(oracle._LiftedEvaluator(data, t), "ddagd")[0]
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
@@ -265,9 +279,8 @@ def test_lemma_identities_random():
         data = oracle.random_valid_data(rng, k=rng.integers(1, 3),
                                         n=rng.integers(1, 4), magnitude=0.3)
         t = oracle.random_regular_t(data, rng)
-        bg = greens.boundary_greens(data, t, want_G=True)
-        qf = greens.qfq_matrix(data, bg)
-        qg = greens.qgq_matrix(data, bg)
+        qf = greens.qfq_matrix(data, greens.boundary_greens(data, t))
+        qg = oracle.qgq_matrix(data, oracle.boundary_G(data, t))
         N = qf.shape[0]
         lhs = (np.eye(N) - qf) @ (np.eye(N) + qg)
         assert np.max(np.abs(lhs - np.eye(N))) < 1e-8

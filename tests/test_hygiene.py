@@ -163,13 +163,31 @@ def _unpassed_options(package, callers):
                              for c in callees))
 
 
+def _caller_trees(repo):
+    """The callers that make a routine or an option needed: src/ and
+    perfbench/ under repo, not tests/."""
+    return [ast.parse(p.read_text(), str(p)) for d in ("src", "perfbench")
+            for p in sorted((repo / d).rglob("*.py"))]
+
+
+def test_callers_leave_out_the_tests(tmp_path):
+    files = {"src/a.py": "def f(x=1):\n    pass\ndef g(y=1):\n    pass\n",
+             "perfbench/run.py": "g(y=2)\n",
+             "tests/test_a.py": "f(x=3)\n"}
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    package = {"a.py": ast.parse(files["src/a.py"])}
+    callers = _caller_trees(tmp_path)
+    assert _unpassed_options(package, callers) == [("a.py", 1, "f", "x")]
+    assert _uncalled_public_routines(package, callers) == [("a.py", 1, "f")]
+
+
 def test_every_option_is_passed_somewhere():
-    # an option no caller sets is a constant: src/, tests/ and perfbench/ call
-    repo = Path(__file__).resolve().parents[1]
+    # an option that only the tests set is a constant
     package = {p.name: ast.parse(p.read_text(), str(p))
                for p in Path(caloron.__file__).parent.glob("*.py")}
-    callers = [ast.parse(p.read_text(), str(p)) for d in ("src", "tests", "perfbench")
-               for p in sorted((repo / d).rglob("*.py"))]
+    callers = _caller_trees(Path(__file__).resolve().parents[1])
     assert _unpassed_options(package, callers) == []
 
 
@@ -201,17 +219,13 @@ def _uncalled_public_routines(package, callers):
 
 
 def test_every_public_routine_has_a_caller_outside_the_unit_tests():
-    # a routine that only its unit tests call belongs in the tests: the
-    # package, the benchmark or the acceptance gate must read each one.
-    # oracle.py is exempt, as it holds the references the tests compare to
-    repo = Path(__file__).resolve().parents[1]
-    sources = {p.name: ast.parse(p.read_text(), str(p))
-               for p in Path(caloron.__file__).parent.glob("*.py")}
-    package = {name: tree for name, tree in sources.items() if name != "oracle.py"}
-    callers = list(sources.values()) + [
-        ast.parse(p.read_text(), str(p))
-        for p in sorted((repo / "perfbench").rglob("*.py"))
-        + [repo / "tests" / "test_acceptance.py"]]
+    # a routine that only the tests call belongs in the tests: the package
+    # or the benchmark must read each one.  oracle.py is exempt, as it holds
+    # the references the tests compare to
+    package = {p.name: ast.parse(p.read_text(), str(p))
+               for p in Path(caloron.__file__).parent.glob("*.py")
+               if p.name != "oracle.py"}
+    callers = _caller_trees(Path(__file__).resolve().parents[1])
     assert _uncalled_public_routines(package, callers) == []
 
 

@@ -16,7 +16,7 @@ from caloron import monodromy as mon
 from caloron import connection, nahm, oracle, spin
 from caloron.errors import IntegrationError
 
-from conftest import (degree1_config, pointwise_flow, random_poly_data,
+from conftest import (degree1_config, jump_map, pointwise_flow, random_poly_data,
                       second_order_jump, stacked, zero_mat)
 
 TWO_PI = 2.0 * np.pi
@@ -241,7 +241,7 @@ def test_constant_transfer_matches_adaptive():
     rng = np.random.default_rng(13)
     data = oracle.random_valid_data(rng, k=2, n=3)
     t = np.array([0.3, 0.2, -0.25, 0.1])
-    for tag in ("ddag", "finv", "ddagd", "dfinv", "ddfinv"):
+    for tag in nahm.FLOWS:
         for i in range(data.n):
             coeff = nahm.flow_coefficient(data, t, i, tag)
             a, b = data.interval_bounds(i)
@@ -329,10 +329,10 @@ def test_companion_shapes(reference):
     t = np.zeros(4)
     prop = mon.Propagator(reference, t)
     assert prop.interval_transfers("finv")[0].shape == (2, 2)
-    assert prop.interval_transfers("ddagd")[0].shape == (4, 4)
-    # D is the adjoint of the D^dagger flow, which regularity reads it from:
-    # no flow of its own
-    for tag in ("bogus", "d"):
+    assert oracle._LiftedEvaluator(reference, t).steps("ddagd").shape == (2, 4, 4)
+    # D is the adjoint of the D^dagger flow, which regularity reads it from,
+    # and D D^dagger the lift of finv the oracle builds: no flows of their own
+    for tag in ("bogus", "d", "ddagd"):
         with pytest.raises(ValueError):
             prop.interval_transfers(tag)
         with pytest.raises(ValueError, match="unknown flow tag"):
@@ -340,16 +340,27 @@ def test_companion_shapes(reference):
 
 
 def test_jump_lift_identity():
-    # kron(id2, J_finv) = J_ddagd + Q Q^dag, blockwise on the companion
-    rng = np.random.default_rng(5)
-    for k, n in ((1, 2), (2, 2)):
-        data = oracle.random_valid_data(rng, k=k, n=n)
-        for alpha in range(n):
-            jf = second_order_jump(data, alpha, "finv")[k:, :k]
-            jd = second_order_jump(data, alpha, "ddagd")[2 * k:, :2 * k]
-            q = data.Q[alpha]
-            assert np.allclose(np.kron(np.eye(2), jf), jd + q @ q.conj().T,
-                               atol=1e-13)
+    # the oracle's D D^dagger steps, the finv steps lifted by kron(id2, .)
+    # with J_ddagd = kron(id2, J_finv) - Q Q^dag, against the transfer of
+    # the pointwise 'ddagd' matrix and the jump map of the closed form
+    # J_ddagd = kron(id2, i Delta T_0) - sum_j kron(E_j, (Q Q^dag)_j), read
+    # off the one-sided evaluations and the spin parts; degree 0 (exact
+    # exponentials) and degree 4 (adaptive)
+    t = np.array([0.3, 0.2, -0.25, 0.1])
+    for data in _jump_data():
+        steps = oracle._LiftedEvaluator(data, t, 1e-12).steps("ddagd")
+        for i in range(data.n):
+            alpha = (i + 1) % data.n
+            lam = data.lambdas[alpha]
+            dT0 = (nahm.eval_T(data, 0, lam, side="right")
+                   - nahm.eval_T(data, 0, lam, side="left"))
+            parts = nahm.q_spin_parts(data, alpha)
+            J = np.kron(np.eye(2), 1j * dT0) - sum(
+                np.kron(spin.E[j], parts[j]) for j in (1, 2, 3))
+            want = jump_map(J) @ mon.transfer(pointwise_flow(data, t, i, "ddagd"),
+                                              *data.interval_bounds(i), 1e-12)
+            err = np.max(np.abs(steps[i] - want))
+            assert err < 1e-9 * np.max(np.abs(want)), (data.k, i, err)
 
 
 def _jump_data():
@@ -366,13 +377,9 @@ def test_jump_block_closed_form():
             lam = data.lambdas[alpha]
             dT0 = (nahm.eval_T(data, 0, lam, side="right")
                    - nahm.eval_T(data, 0, lam, side="left"))
-            parts = nahm.q_spin_parts(data, alpha)
-            finv = 1j * dT0 + parts[0]
-            ddagd = np.kron(np.eye(2), 1j * dT0) - sum(
-                np.kron(spin.E[j], parts[j]) for j in (1, 2, 3))
-            for tag, want in (("finv", finv), ("ddagd", ddagd)):
-                got = mon.jump_block(data, alpha, tag)
-                assert np.max(np.abs(got - want)) < 1e-14, (data.k, alpha, tag)
+            want = 1j * dT0 + nahm.q_spin_parts(data, alpha)[0]
+            got = mon.jump_block(data, alpha)
+            assert np.max(np.abs(got - want)) < 1e-14, (data.k, alpha)
 
 
 def test_steps_apply_the_full_jump_map():
@@ -464,36 +471,39 @@ def _logistic(u):
     return 1.0 / (1.0 + np.exp(-np.clip(u, -60.0, 60.0)))
 
 
-def _constant_loop_from_zero(data, t, tag):
-    """Loop of a second-order flow based at s = 0 (not a marked point) on
+def _constant_loop_from_zero(data, t):
+    """Loop of the finv flow based at s = 0 (not a marked point) on
     degree-0 data: the exponential of the constant coefficient over every
     piece between marked points, and the jump at each of them."""
     def piece(i, length):
         a = data.interval_bounds(i)[0]
-        return mon.expm(nahm.flow_coefficient(data, t, i, tag)(a) * length)
+        return mon.expm(nahm.flow_coefficient(data, t, i, "finv")(a) * length)
 
     pos, loop = 0.0, None
     for alpha, lam in enumerate(data.lambdas):
         step = piece(alpha - 1 if alpha else data.n - 1, lam - pos)
-        step = second_order_jump(data, alpha, tag) @ step
+        step = second_order_jump(data, alpha) @ step
         loop = step if loop is None else step @ loop
         pos = lam
     return piece(data.n - 1, TWO_PI - pos) @ loop
 
 
 def _step_data():
-    """k=1, n=2 dataset: T_3 = -1/4 then +1/4, unit boundary vectors."""
+    """k=1, n=3 dataset: T_3 = +1/4, -1/4, +1/4 on the intervals from 0,
+    pi/2 and 3 pi/2, unit boundary vectors at pi/2 and 3 pi/2.  The marked
+    point at 0 has a zero Q and no jump, so a loop based there is the loop
+    from s = 0."""
     z = zero_mat(1)
+
+    def interval(t3):
+        return {"degree": 0, "T": {"0": [z], "1": [z], "2": [z], "3": [[[[t3, 0.0]]]]}}
+
     return nahm.from_dict({
         "k": 1,
-        "lambdas": [float(np.pi / 2), float(3 * np.pi / 2)],
-        "intervals": [
-            {"degree": 0, "T": {"0": [z], "1": [z], "2": [z],
-                                "3": [[[[-0.25, 0.0]]]]}},
-            {"degree": 0, "T": {"0": [z], "1": [z], "2": [z],
-                                "3": [[[[0.25, 0.0]]]]}},
-        ],
-        "Q": [[[[1.0, 0.0]], [[0.0, 0.0]]],
+        "lambdas": [0.0, float(np.pi / 2), float(3 * np.pi / 2)],
+        "intervals": [interval(0.25), interval(-0.25), interval(0.25)],
+        "Q": [[[[0.0, 0.0]], [[0.0, 0.0]]],
+              [[[1.0, 0.0]], [[0.0, 0.0]]],
               [[[0.0, 0.0]], [[1.0, 0.0]]]],
     })
 
@@ -515,7 +525,7 @@ def test_delta_potential_against_gaussian_mollifier():
     })
     assert np.max(np.abs(nahm.matching_residual(data, 0))) < 1e-14
     t = np.array([0.3, 0.2, -0.1, 0.15])
-    exact = _constant_loop_from_zero(data, t, "finv")
+    exact = _constant_loop_from_zero(data, t)
     base = t[0] ** 2 + t[1] ** 2 + t[2] ** 2 + t[3] ** 2
 
     def mollified(width):
@@ -544,17 +554,18 @@ def test_delta_potential_against_gaussian_mollifier():
 
 
 def test_matching_sign_against_smooth_step():
-    """ddagd jump convention: smooth-step data converges to the jump map.
+    """D D^dagger jump convention: smooth-step data converges to the loop of
+    the oracle's lifted steps.
 
     The smoothed T_3 makes i T_3' a narrow bump whose integral is the
     matching jump; the full (off-shell) coefficient then converges to the
     on-shell jump composition as the step sharpens.
     """
     data = _step_data()
-    for alpha in range(2):
+    for alpha in range(data.n):
         assert np.max(np.abs(nahm.matching_residual(data, alpha))) < 1e-14
     t = np.array([0.3, 0.2, -0.1, 0.15])
-    exact = _constant_loop_from_zero(data, t, "ddagd")
+    exact = oracle._LiftedEvaluator(data, t).loop("ddagd")
     E3 = spin.E[3]
     id2 = np.eye(2)
 
@@ -585,7 +596,6 @@ def test_matching_sign_against_smooth_step():
     # zeroing the boundary vectors (wrong jump maps for this T) lands far
     # away, so the convergence above really tests the jump composition
     cfg = nahm.to_dict(data)
-    cfg["Q"] = [[[[0.0, 0.0]], [[0.0, 0.0]]],
-                [[[0.0, 0.0]], [[0.0, 0.0]]]]
-    nojump = _constant_loop_from_zero(nahm.from_dict(cfg), t, "ddagd")
+    cfg["Q"] = [[[[0.0, 0.0]], [[0.0, 0.0]]]] * data.n
+    nojump = oracle._LiftedEvaluator(nahm.from_dict(cfg), t).loop("ddagd")
     assert np.max(np.abs(nojump - exact)) > 10 * errs[2]

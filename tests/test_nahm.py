@@ -219,7 +219,7 @@ def test_flow_coefficient_series_matches_pointwise_formula(degree):
     us = [-1.0, 0.0, 1.0] + list(rng.uniform(-1.0, 1.0, size=5))
     for i in range(data.n):
         a, b = data.interval_bounds(i)
-        for tag in ("ddag", "finv", "ddagd", "dfinv", "ddfinv"):
+        for tag in nahm.FLOWS:
             coeff = nahm.flow_coefficient(data, t, i, tag)
             for u in us:
                 want = direct_flow_matrix(data, t, i, tag, u)
@@ -286,8 +286,7 @@ def test_assembly_maps_are_read_only_and_linear_in_size(k):
     # one gather per (tag, k): at most two sources per flow-matrix entry,
     # so O(dim^2) memory, where a dense map from the 6 k^2 block entries
     # would take 6 k^2 dim^2
-    dims = {"ddag": 2 * k, "finv": 2 * k, "ddagd": 4 * k,
-            "dfinv": 10 * k, "ddfinv": 30 * k}
+    dims = {"ddag": 2 * k, "finv": 2 * k, "dfinv": 10 * k, "ddfinv": 30 * k}
     assert set(dims) == set(nahm.FLOWS)
     for tag, dim in dims.items():
         index, weight = nahm._assembly(tag, k)

@@ -9,7 +9,9 @@ absolute:
     check                          density   tr F F    A
     rotation, k = 1, 2             4.2e-14   7.2e-14   -
     rotation, degree-16 twin       4.4e-14   1.5e-13   -
+    rotation, both blocks jump     1.3e-15   2.1e-15   -
     constant gauge, k = 2, 3       1.2e-14   2.8e-14   6.8e-15
+    constant gauge, both jump      7.5e-15   1.5e-14   6.2e-15
     wrapped shift, k = 1, 2        2.1e-13   3.5e-13   2.6e-14
 
 TOL is about 15x the worst defect of the first and third rows and 7x on
@@ -64,14 +66,18 @@ def _rotated(data, R, U):
     return _transform(data, mix_T, np.kron(U, np.eye(data.k)))
 
 
-@pytest.mark.parametrize("case", [1, 2, "twin"])
+@pytest.mark.parametrize("case", [1, 2, "twin", "both_jumps"])
 def test_rotation_rotates_the_field(case, request):
     # T_j -> R_jl T_l and Q -> (U x id_k) Q: the density at (t_0, R t) is
     # the density at t, and tr F F is the rotated tensor; on k = 1 and 2
-    # draws, and under three rotations on the degree-16 twin
+    # draws, on k = 2 data where both blocks jump, and under three
+    # rotations on the degree-16 twin
     if case == "twin":
         _, data, t = request.getfixturevalue("twin_case")
         Us = [_su2(np.random.default_rng(seed)) for seed in (5, 6, 7)]
+    elif case == "both_jumps":
+        data, t = request.getfixturevalue("both_jumps_case")
+        Us = [_su2(np.random.default_rng(5))]
     else:
         rng = np.random.default_rng(5)
         data = oracle.random_valid_data(rng, k=case, n=3)
@@ -96,7 +102,7 @@ def test_rotation_rotates_the_field(case, request):
         return
 
     # U^dag in place of U breaks the matching conditions: the test pins the
-    # spinor convention (measured: density off by 6% and 1.8%)
+    # spinor convention (measured: density off by 6%, 1.8% and 120%)
     wrong = _rotated(data, R, U.conj().T)
     assert max(np.max(np.abs(nahm.matching_residual(wrong, a)))
                for a in range(data.n)) > 0.1
@@ -104,13 +110,18 @@ def test_rotation_rotates_the_field(case, request):
                - base.action_density()) > 1e-3 * base.action_density()
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_constant_gauge_changes_nothing(k):
+@pytest.mark.parametrize("case", [2, 3, "both_jumps"])
+def test_constant_gauge_changes_nothing(case, request):
     # T -> g T g^dag and Q -> (id_2 x g) Q with a dense unitary g: the
-    # block-scalar data become dense, and the field stays put
+    # block-scalar data become dense, and the field stays put; on k = 2 and
+    # 3 draws and on k = 2 data where both blocks jump
     rng = np.random.default_rng(6)
-    data = oracle.random_valid_data(rng, k=k, n=3)
-    t = oracle.random_regular_t(data, rng)
+    if case == "both_jumps":
+        data, t = request.getfixturevalue("both_jumps_case")
+    else:
+        data = oracle.random_valid_data(rng, k=case, n=3)
+        t = oracle.random_regular_t(data, rng)
+    k = data.k
     g = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))[0]
     gauged = _transform(data, lambda c: g @ c @ g.conj().T, np.kron(np.eye(2), g))
     base = connection.curvature(data, t)
